@@ -111,6 +111,13 @@ int main() {
                   snap.counter(selfmon::CounterId::RunnerRepsReplayed)),
               static_cast<unsigned long long>(
                   snap.counter(selfmon::CounterId::RunnerRepsExtrapolated)));
+  // Exact counts: a loop replay (or one scalar access) takes its core's
+  // stripe once, and every acquisition checks whether it had to wait.
+  std::printf("L3 stripe locks: %llu acquired, %llu contended\n",
+              static_cast<unsigned long long>(
+                  snap.counter(selfmon::CounterId::L3StripeAcquisitions)),
+              static_cast<unsigned long long>(
+                  snap.counter(selfmon::CounterId::L3StripeContention)));
 
   std::ofstream trace("selfmon_trace.json");
   write_chrome_trace(trace, sampler, {}, "selfmon-profile");

@@ -14,10 +14,11 @@ constexpr MetricInfo kCounterInfo[kNumCounters] = {
     {"pool.tasks", "pool tasks executed to completion", "tasks"},
     {"pool.exceptions_dropped",
      "task exceptions beyond the first per batch (dropped, not rethrown)", "exceptions"},
-    {"l3.stripe_acquisitions", "L3 stripe mutex acquisitions", "locks"},
-    {"l3.stripe_contention",
-     "contended stripe acquisitions, estimated from sampled try_lock probes",
+    {"l3.stripe_acquisitions",
+     "L3 stripe mutex acquisitions (one per loop replay or scalar access)",
      "locks"},
+    {"l3.stripe_contention",
+     "stripe acquisitions that found the stripe already held", "locks"},
     {"pcp.requests_served", "requests completed by the PMCD service thread", "requests"},
     {"pcp.retries", "PMCD round-trip retries after a timeout or transient fault",
      "retries"},

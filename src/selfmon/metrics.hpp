@@ -49,7 +49,7 @@ enum class CounterId : std::uint16_t {
   PoolTasks,               ///< tasks executed to completion
   PoolExceptionsDropped,   ///< task exceptions beyond the first (not rethrown)
   L3StripeAcquisitions,    ///< stripe mutex acquisitions
-  L3StripeContention,      ///< contended acquisitions (sampled-probe estimate)
+  L3StripeContention,      ///< contended acquisitions (exact count)
   PcpRequestsServed,       ///< requests the PMCD thread completed
   PcpRetries,              ///< round-trip retries after timeout or transient fault
   PcpTimeouts,             ///< round-trip attempts that missed the client deadline

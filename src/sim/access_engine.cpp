@@ -146,83 +146,89 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
   std::uint64_t next_iter[16];
   for (std::size_t k = 0; k < n; ++k) next_iter[k] = 0;
 
-  while (true) {
-    // Find the earliest pending line event (ties resolved in stream order,
-    // matching the textual order of accesses in the loop body).
-    std::size_t k = n;
-    std::uint64_t imin = loop.iterations;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (next_iter[j] < imin) {
-        imin = next_iter[j];
-        k = j;
+  {
+    // One stripe acquisition for the whole loop: one thread replays each
+    // core, so nothing else needs the stripe until the loop ends.
+    L3Fabric::StripeHandle stripe = l3_.hold(core_);
+
+    while (true) {
+      // Find the earliest pending line event (ties resolved in stream order,
+      // matching the textual order of accesses in the loop body).
+      std::size_t k = n;
+      std::uint64_t imin = loop.iterations;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (next_iter[j] < imin) {
+          imin = next_iter[j];
+          k = j;
+        }
+      }
+      if (k == n) break;
+
+      const StreamDesc& sd = loop.streams[k];
+      const std::uint64_t addr =
+          static_cast<std::uint64_t>(static_cast<std::int64_t>(sd.base) +
+                                     static_cast<std::int64_t>(imin) * sd.stride);
+      const std::uint64_t touched_line = addr / cfg_.line_bytes;
+
+      if (strided_capable[k] && ++touch_count[k] == cfg_.stream_detect_threshold + 1) {
+        ++strided_active;
+      }
+      ++stats.line_touches;
+      ++stream_touches[k];
+
+      L3Fabric::Source src = L3Fabric::Source::Memory;
+      bool bypassed = false;
+      if (sd.kind == AccessKind::Load) {
+        src = stripe.load(touched_line, &traffic);
+        account(stats, src);
+      } else if (loop.sw_prefetch) {
+        // dcbtst: prefetch the target line into L3, then the store hits it.
+        // The sample's hit level reports where the prefetch found the line.
+        src = stripe.prefetch(touched_line, &traffic);
+        account(stats, src);
+        stripe.store(touched_line, &traffic);
+        ++stats.allocated_store_lines;
+      } else if (bypass_ok[k] && strided_active == 0) {
+        // Streaming store: bypass the cache, write the full line to memory.
+        mem_.add_line(touched_line, MemDir::Write);
+        ++traffic.write_lines;
+        ++stats.bypassed_store_lines;
+        bypassed = true;
+      } else {
+        src = stripe.store(touched_line, &traffic);
+        account(stats, src);
+        ++stats.allocated_store_lines;
+      }
+
+      if constexpr (spe::kEnabled) {
+        if (spe != nullptr) {
+          spe->on_access(addr,
+                         sd.kind == AccessKind::Load ? spe::AccessKind::Load
+                                                     : spe::AccessKind::Store,
+                         bypassed ? spe::HitLevel::Bypass : spe_level(src),
+                         sd.stride, spe_t_ns);
+        }
+      }
+
+      switch (stride_mode[k]) {
+        case kEveryIter:
+          next_iter[k] = imin + 1;
+          break;
+        case kShift: {
+          // Iterations until the next line boundary: ceil(remaining / stride).
+          const std::uint64_t remaining =
+              (touched_line + 1) * cfg_.line_bytes - addr;
+          next_iter[k] =
+              imin + ((remaining + (std::uint64_t{1} << stride_shift[k]) - 1) >>
+                      stride_shift[k]);
+          break;
+        }
+        default:
+          next_iter[k] =
+              next_line_iter(sd.base, sd.stride, imin, touched_line, cfg_.line_bytes);
       }
     }
-    if (k == n) break;
-
-    const StreamDesc& sd = loop.streams[k];
-    const std::uint64_t addr =
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(sd.base) +
-                                   static_cast<std::int64_t>(imin) * sd.stride);
-    const std::uint64_t touched_line = addr / cfg_.line_bytes;
-
-    if (strided_capable[k] && ++touch_count[k] == cfg_.stream_detect_threshold + 1) {
-      ++strided_active;
-    }
-    ++stats.line_touches;
-    ++stream_touches[k];
-
-    L3Fabric::Source src = L3Fabric::Source::Memory;
-    bool bypassed = false;
-    if (sd.kind == AccessKind::Load) {
-      src = l3_.load_line(core_, touched_line, &traffic);
-      account(stats, src);
-    } else if (loop.sw_prefetch) {
-      // dcbtst: prefetch the target line into L3, then the store hits it.
-      // The sample's hit level reports where the prefetch found the line.
-      src = l3_.prefetch_line(core_, touched_line, &traffic);
-      account(stats, src);
-      l3_.store_line(core_, touched_line, &traffic);
-      ++stats.allocated_store_lines;
-    } else if (bypass_ok[k] && strided_active == 0) {
-      // Streaming store: bypass the cache, write the full line to memory.
-      mem_.add_line(touched_line, MemDir::Write);
-      ++traffic.write_lines;
-      ++stats.bypassed_store_lines;
-      bypassed = true;
-    } else {
-      src = l3_.store_line(core_, touched_line, &traffic);
-      account(stats, src);
-      ++stats.allocated_store_lines;
-    }
-
-    if constexpr (spe::kEnabled) {
-      if (spe != nullptr) {
-        spe->on_access(addr,
-                       sd.kind == AccessKind::Load ? spe::AccessKind::Load
-                                                   : spe::AccessKind::Store,
-                       bypassed ? spe::HitLevel::Bypass : spe_level(src),
-                       sd.stride, spe_t_ns);
-      }
-    }
-
-    switch (stride_mode[k]) {
-      case kEveryIter:
-        next_iter[k] = imin + 1;
-        break;
-      case kShift: {
-        // Iterations until the next line boundary: ceil(remaining / stride).
-        const std::uint64_t remaining =
-            (touched_line + 1) * cfg_.line_bytes - addr;
-        next_iter[k] =
-            imin + ((remaining + (std::uint64_t{1} << stride_shift[k]) - 1) >>
-                    stride_shift[k]);
-        break;
-      }
-      default:
-        next_iter[k] =
-            next_line_iter(sd.base, sd.stride, imin, touched_line, cfg_.line_bytes);
-    }
-  }
+  }  // the stripe is released here
 
   stats.mem_read_bytes = traffic.read_lines * cfg_.line_bytes;
   stats.mem_write_bytes = traffic.write_lines * cfg_.line_bytes;
@@ -268,8 +274,9 @@ void AccessEngine::load(std::uint64_t addr, std::uint32_t bytes) {
   L3Fabric::Traffic traffic;
   spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
   const std::uint64_t spe_t_ns = spe != nullptr ? spe_time_ns() : 0;
+  L3Fabric::StripeHandle stripe = l3_.hold(core_);
   for (std::uint64_t line = first; line <= last; ++line) {
-    const L3Fabric::Source src = l3_.load_line(core_, line, &traffic);
+    const L3Fabric::Source src = stripe.load(line, &traffic);
     account(scalar_stats_, src);
     ++scalar_stats_.line_touches;
     if constexpr (spe::kEnabled) {
@@ -288,8 +295,9 @@ void AccessEngine::store(std::uint64_t addr, std::uint32_t bytes) {
   L3Fabric::Traffic traffic;
   spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
   const std::uint64_t spe_t_ns = spe != nullptr ? spe_time_ns() : 0;
+  L3Fabric::StripeHandle stripe = l3_.hold(core_);
   for (std::uint64_t line = first; line <= last; ++line) {
-    const L3Fabric::Source src = l3_.store_line(core_, line, &traffic);
+    const L3Fabric::Source src = stripe.store(line, &traffic);
     account(scalar_stats_, src);
     ++scalar_stats_.line_touches;
     ++scalar_stats_.allocated_store_lines;

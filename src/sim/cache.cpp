@@ -1,5 +1,6 @@
 #include "sim/cache.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 namespace papisim::sim {
@@ -23,13 +24,13 @@ CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t associativity,
   pow2_sets_ = (sets_ & (sets_ - 1)) == 0;
   set_mask_ = sets_ - 1;
   if (!pow2_sets_) fastmod_m_ = ~0ull / sets_ + 1;
-  tags_.assign(static_cast<std::size_t>(sets_) * assoc_, kInvalid);
-  dirty_.assign(tags_.size(), 0);
 }
 
 // LRU is kept as a physical recency order within each set (way 0 = MRU):
 // hot lines hit at shallow scan depth, which dominates the simulator's
-// hottest path; the shuffle on a hit moves at most `depth` ways.
+// hottest path; the shuffle on a hit moves at most `depth` words.  A word
+// matches `line` iff (word | 1) == (line << 1 | 1); the empty word kInvalid
+// matches no line below kLineLimit.
 
 CacheLevel::Result CacheLevel::access(std::uint64_t line, bool make_dirty) {
   return access_impl(line, make_dirty, false);
@@ -37,25 +38,26 @@ CacheLevel::Result CacheLevel::access(std::uint64_t line, bool make_dirty) {
 
 CacheLevel::Result CacheLevel::access_impl(std::uint64_t line, bool make_dirty,
                                            bool /*is_insert*/) {
+  assert(line < kLineLimit);
   Result res;
   if (sets_ == 0) {
     ++misses_;
     return res;  // zero capacity: nothing is retained
   }
-  const std::size_t base = static_cast<std::size_t>(set_index(line)) * assoc_;
-  std::uint64_t* tags = tags_.data() + base;
-  std::uint8_t* dirty = dirty_.data() + base;
+  if (tags_.empty()) [[unlikely]] {
+    tags_.assign(static_cast<std::size_t>(sets_) * assoc_, kInvalid);
+  }
+  std::uint64_t* tags =
+      tags_.data() + static_cast<std::size_t>(set_index(line)) * assoc_;
+  const std::uint64_t key = (line << 1) | 1;
+  const std::uint64_t dirty = make_dirty ? 1 : 0;
 
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (tags[w] == line) {
+    if ((tags[w] | 1) == key) {
       // Hit: move to MRU position, merging dirty state.
-      const std::uint8_t d = static_cast<std::uint8_t>(dirty[w] | (make_dirty ? 1 : 0));
-      for (std::uint32_t j = w; j > 0; --j) {
-        tags[j] = tags[j - 1];
-        dirty[j] = dirty[j - 1];
-      }
-      tags[0] = line;
-      dirty[0] = d;
+      const std::uint64_t word = tags[w] | dirty;
+      for (std::uint32_t j = w; j > 0; --j) tags[j] = tags[j - 1];
+      tags[0] = word;
       ++hits_;
       res.hit = true;
       return res;
@@ -67,46 +69,40 @@ CacheLevel::Result CacheLevel::access_impl(std::uint64_t line, bool make_dirty,
   const std::uint32_t lru = assoc_ - 1;
   if (tags[lru] != kInvalid) {
     res.evicted = true;
-    res.victim_line = tags[lru];
-    res.victim_dirty = dirty[lru] != 0;
+    res.victim_line = tags[lru] >> 1;
+    res.victim_dirty = (tags[lru] & 1) != 0;
   } else {
     ++valid_count_;
   }
-  for (std::uint32_t j = lru; j > 0; --j) {
-    tags[j] = tags[j - 1];
-    dirty[j] = dirty[j - 1];
-  }
-  tags[0] = line;
-  dirty[0] = make_dirty ? 1 : 0;
+  for (std::uint32_t j = lru; j > 0; --j) tags[j] = tags[j - 1];
+  tags[0] = (line << 1) | dirty;
   return res;
 }
 
 bool CacheLevel::contains(std::uint64_t line) const {
-  if (sets_ == 0) return false;
-  const std::size_t base = static_cast<std::size_t>(set_index(line)) * assoc_;
+  if (valid_count_ == 0) return false;
+  const std::uint64_t* tags =
+      tags_.data() + static_cast<std::size_t>(set_index(line)) * assoc_;
+  const std::uint64_t key = (line << 1) | 1;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (tags_[base + w] == line) return true;
+    if ((tags[w] | 1) == key) return true;
   }
   return false;
 }
 
 CacheLevel::Invalidated CacheLevel::invalidate(std::uint64_t line) {
   Invalidated out;
-  if (sets_ == 0) return out;
-  const std::size_t base = static_cast<std::size_t>(set_index(line)) * assoc_;
-  std::uint64_t* tags = tags_.data() + base;
-  std::uint8_t* dirty = dirty_.data() + base;
+  if (valid_count_ == 0) return out;
+  std::uint64_t* tags =
+      tags_.data() + static_cast<std::size_t>(set_index(line)) * assoc_;
+  const std::uint64_t key = (line << 1) | 1;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (tags[w] == line) {
+    if ((tags[w] | 1) == key) {
       out.present = true;
-      out.dirty = dirty[w] != 0;
+      out.dirty = (tags[w] & 1) != 0;
       // Compact the recency order: shift older entries up one way.
-      for (std::uint32_t j = w; j + 1 < assoc_; ++j) {
-        tags[j] = tags[j + 1];
-        dirty[j] = dirty[j + 1];
-      }
+      for (std::uint32_t j = w; j + 1 < assoc_; ++j) tags[j] = tags[j + 1];
       tags[assoc_ - 1] = kInvalid;
-      dirty[assoc_ - 1] = 0;
       --valid_count_;
       return out;
     }
@@ -115,11 +111,11 @@ CacheLevel::Invalidated CacheLevel::invalidate(std::uint64_t line) {
 }
 
 void CacheLevel::flush(const std::function<void(std::uint64_t, bool)>& sink) {
-  for (std::size_t i = 0; i < tags_.size(); ++i) {
-    if (tags_[i] != kInvalid) {
-      sink(tags_[i], dirty_[i] != 0);
-      tags_[i] = kInvalid;
-      dirty_[i] = 0;
+  if (valid_count_ == 0) return;
+  for (std::uint64_t& word : tags_) {
+    if (word != kInvalid) {
+      sink(word >> 1, (word & 1) != 0);
+      word = kInvalid;
     }
   }
   valid_count_ = 0;

@@ -11,9 +11,16 @@ namespace papisim::sim {
 /// works on *line numbers* only and stores no data (the simulator is
 /// trace-driven; numeric kernels live elsewhere).
 ///
-/// Replacement is true LRU within each set, maintained as a recency-ordered
-/// array (way 0 = MRU).  Associativities used in papisim are <= 20, so the
-/// per-access shuffle is a short memmove.
+/// Replacement is true LRU within each set, kept as a recency order of one
+/// packed word per way (way 0 = MRU): the word is `line << 1 | dirty`, so a
+/// hit or fill shifts a single array of at most associativity (<= 20) words.
+/// Line numbers must therefore stay below kLineLimit = 2^63 - 1 (the
+/// all-ones word marks an empty way); a debug assertion checks it.
+///
+/// Storage is allocated on the first fill (access or insert).  A cache that
+/// never holds a line -- an idle core's slice, an unused victim partition --
+/// costs no tag memory, and contains/invalidate/flush on an empty cache
+/// return at once.
 class CacheLevel {
  public:
   /// Constructs a cache of `size_bytes` capacity with `associativity` ways
@@ -26,6 +33,9 @@ class CacheLevel {
   /// indexing (unit tests of LRU mechanics rely on it).
   CacheLevel(std::uint64_t size_bytes, std::uint32_t associativity,
              std::uint32_t line_bytes, bool hashed_sets = false);
+
+  /// Exclusive upper bound on line numbers (see the class comment).
+  static constexpr std::uint64_t kLineLimit = (1ull << 63) - 1;
 
   struct Result {
     bool hit = false;
@@ -89,8 +99,9 @@ class CacheLevel {
   bool hashed_sets_ = false;
   std::uint64_t set_mask_ = 0;
   std::uint64_t fastmod_m_ = 0;
-  std::vector<std::uint64_t> tags_;  ///< sets_ * assoc_
-  std::vector<std::uint8_t> dirty_;
+  /// sets_ * assoc_ packed `line << 1 | dirty` words (kInvalid = empty);
+  /// empty until the first fill.
+  std::vector<std::uint64_t> tags_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t valid_count_ = 0;

@@ -8,84 +8,27 @@
 
 namespace papisim::sim {
 
-namespace {
-
-/// Flush the stripe-local selfmon staging counters every this many
-/// acquisitions.  Large enough to amortize the (comparatively costly)
-/// registry TLS write out of the per-access path, small enough that any
-/// profiled region of consequence sees its counts.
-constexpr std::uint64_t kSelfmonFlushEvery = 64;
-
-/// One access in this many probes for contention with a try_lock.
-/// pthread_mutex_trylock is markedly slower than the uncontended lock fast
-/// path on some hosts (measured ~18% of GEMM replay throughput when probing
-/// every access), so contention is sampled: each contended probe stands for
-/// kSelfmonProbeEvery acquisitions, making l3.stripe_contention an estimate
-/// directly comparable to l3.stripe_acquisitions.  The sample is selected
-/// by line-address bits (the cheapest signal already in a register on the
-/// access path -- even a per-thread counter tick was measurable there);
-/// streaming kernels sample uniformly, and the bias for tiny re-walked
-/// footprints only affects the contention estimate, never the exact
-/// acquisition count.  Power of two: must stay a valid address mask.
-constexpr std::uint64_t kSelfmonProbeEvery = 64;
-
-}  // namespace
-
-/// Stripe lock with batched selfmon accounting.  The counts stage in plain
-/// fields of the stripe -- its cache line is exclusive while the mutex is
-/// held, so the increments are effectively free -- and flush to the selfmon
-/// registry every kSelfmonFlushEvery acquisitions.  Contention is detected
-/// by sampled try_lock probes (see kSelfmonProbeEvery).  Compiles down to a
-/// plain lock when the instrumentation is off.
-[[gnu::cold, gnu::noinline]] void L3Fabric::flush_stripe_selfmon(
-    Stripe& stripe) {
-  selfmon::counter_add(selfmon::CounterId::L3StripeAcquisitions,
-                       stripe.selfmon_acquisitions);
-  if (stripe.selfmon_contention != 0) {
-    selfmon::counter_add(selfmon::CounterId::L3StripeContention,
-                         stripe.selfmon_contention);
+std::unique_lock<std::mutex> L3Fabric::lock_stripe(Stripe& stripe) {
+  std::unique_lock<std::mutex> lock(stripe.mu, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    lock.lock();
+    selfmon::counter_add(selfmon::CounterId::L3StripeContention, 1);
   }
-  stripe.selfmon_acquisitions = 0;
-  stripe.selfmon_contention = 0;
+  selfmon::counter_add(selfmon::CounterId::L3StripeAcquisitions, 1);
+  return lock;
 }
 
-// Force-inlined into every call site: the per-access replay path runs at a
-// few tens of ns per line, where an out-of-line call returning a unique_lock
-// by value is itself a measurable fraction of the budget.
-__attribute__((always_inline)) inline std::unique_lock<std::mutex>
-L3Fabric::lock_stripe(Stripe& stripe, bool probe) {
-  if constexpr (selfmon::kEnabled) {
-    if (probe) [[unlikely]] {
-      std::unique_lock<std::mutex> lock(stripe.mu, std::try_to_lock);
-      if (!lock.owns_lock()) {
-        lock.lock();
-        stripe.selfmon_contention += kSelfmonProbeEvery;
-      }
-      if (++stripe.selfmon_acquisitions >= kSelfmonFlushEvery) {
-        flush_stripe_selfmon(stripe);
-      }
-      return lock;
-    }
-    std::unique_lock<std::mutex> lock(stripe.mu);
-    if (++stripe.selfmon_acquisitions >= kSelfmonFlushEvery) {
-      flush_stripe_selfmon(stripe);
-    }
-    return lock;
-  } else {
-    (void)probe;
-    return std::unique_lock<std::mutex>(stripe.mu);
-  }
-}
+L3Fabric::StripeHandle::StripeHandle(L3Fabric& fabric, Stripe& stripe)
+    : fabric_(&fabric), stripe_(&stripe), lock_(lock_stripe(stripe)) {}
 
 L3Fabric::L3Fabric(const MachineConfig& cfg, MemController& mem)
     : cfg_(cfg), mem_(mem) {
   stripes_.reserve(cfg.cores_per_socket);
   for (std::uint32_t c = 0; c < cfg.cores_per_socket; ++c) {
-    auto stripe = std::make_unique<Stripe>();
-    stripe->slice = std::make_unique<CacheLevel>(
-        cfg.l3_slice_bytes, cfg.l3_associativity, cfg.line_bytes,
-        /*hashed_sets=*/true);
-    stripes_.push_back(std::move(stripe));
+    stripes_.push_back(std::make_unique<Stripe>(
+        CacheLevel(cfg.l3_slice_bytes, cfg.l3_associativity, cfg.line_bytes,
+                   /*hashed_sets=*/true),
+        CacheLevel(0, 8, cfg.line_bytes)));  // sized by set_active_cores
   }
   // Clamp: retention >= 1.0 must map to "always retained" (the cast of
   // 1.0 * 2^64 to uint64 would otherwise overflow).
@@ -116,8 +59,8 @@ void L3Fabric::set_active_cores(std::uint32_t n) {
     // associativity (it is a recovery approximation, not a real cache -- the
     // retention probability already dominates its behaviour) to keep the
     // simulator's hottest miss path cheap.
-    stripe->victim = std::make_unique<CacheLevel>(capacity, 8, cfg_.line_bytes,
-                                                  /*hashed_sets=*/true);
+    stripe->victim = CacheLevel(capacity, 8, cfg_.line_bytes,
+                                /*hashed_sets=*/true);
   }
 }
 
@@ -135,26 +78,23 @@ bool L3Fabric::retained(Stripe& stripe, std::uint64_t line) {
 
 void L3Fabric::cast_out(Stripe& stripe, std::uint64_t line, bool dirty,
                         Traffic* t) {
-  if (stripe.victim->capacity_lines() == 0) {
+  if (stripe.victim.capacity_lines() == 0) {
     if (dirty) {
       mem_.add_line(line, MemDir::Write);
       if (t) ++t->write_lines;
     }
     return;
   }
-  const CacheLevel::Result r = stripe.victim->insert(line, dirty);
+  const CacheLevel::Result r = stripe.victim.insert(line, dirty);
   if (r.evicted && r.victim_dirty) {
     mem_.add_line(r.victim_line, MemDir::Write);
     if (t) ++t->write_lines;
   }
 }
 
-L3Fabric::Source L3Fabric::access_line(std::uint32_t core, std::uint64_t line,
+L3Fabric::Source L3Fabric::access_line(Stripe& stripe, std::uint64_t line,
                                        bool make_dirty, Traffic* t) {
-  Stripe& stripe = *stripes_[core];
-  const auto lock =
-      lock_stripe(stripe, (line & (kSelfmonProbeEvery - 1)) == 0);
-  const CacheLevel::Result r = stripe.slice->access(line, make_dirty);
+  const CacheLevel::Result r = stripe.slice.access(line, make_dirty);
   if (r.hit) return Source::L3Hit;
 
   // Miss: access() already filled the line (with the right dirty bit) and
@@ -162,7 +102,7 @@ L3Fabric::Source L3Fabric::access_line(std::uint32_t core, std::uint64_t line,
   if (r.evicted) cast_out(stripe, r.victim_line, r.victim_dirty, t);
 
   // Did the line come from a lateral cast-out (victim store) or from memory?
-  const CacheLevel::Invalidated inv = stripe.victim->invalidate(line);
+  const CacheLevel::Invalidated inv = stripe.victim.invalidate(line);
   if (inv.present) {
     if (retained(stripe, line)) {
       victim_recoveries_.fetch_add(1, std::memory_order_relaxed);
@@ -175,27 +115,10 @@ L3Fabric::Source L3Fabric::access_line(std::uint32_t core, std::uint64_t line,
   return Source::Memory;
 }
 
-L3Fabric::Source L3Fabric::load_line(std::uint32_t core, std::uint64_t line,
-                                     Traffic* t) {
-  return access_line(core, line, /*make_dirty=*/false, t);
-}
-
-L3Fabric::Source L3Fabric::store_line(std::uint32_t core, std::uint64_t line,
-                                      Traffic* t) {
-  // Write-allocate: a miss reads the line from memory before the partial
-  // write (the paper's "read incurred by the hardware when writing").
-  return access_line(core, line, /*make_dirty=*/true, t);
-}
-
-L3Fabric::Source L3Fabric::prefetch_line(std::uint32_t core, std::uint64_t line,
-                                         Traffic* t) {
-  return load_line(core, line, t);
-}
-
 void L3Fabric::flush_core(std::uint32_t core) {
   Stripe& stripe = *stripes_[core];
   const auto lock = lock_stripe(stripe);
-  stripe.slice->flush([this](std::uint64_t line, bool dirty) {
+  stripe.slice.flush([this](std::uint64_t line, bool dirty) {
     if (dirty) mem_.add_line(line, MemDir::Write);
   });
 }
@@ -204,7 +127,7 @@ void L3Fabric::flush_all() {
   for (std::uint32_t c = 0; c < cfg_.cores_per_socket; ++c) flush_core(c);
   for (auto& stripe : stripes_) {
     const auto lock = lock_stripe(*stripe);
-    stripe->victim->flush([this](std::uint64_t line, bool dirty) {
+    stripe->victim.flush([this](std::uint64_t line, bool dirty) {
       if (dirty) mem_.add_line(line, MemDir::Write);
     });
   }
@@ -213,7 +136,7 @@ void L3Fabric::flush_all() {
 std::uint64_t L3Fabric::total_slice_lookups() const {
   std::uint64_t total = 0;
   for (const auto& stripe : stripes_) {
-    total += stripe->slice->hits() + stripe->slice->misses();
+    total += stripe->slice.hits() + stripe->slice.misses();
   }
   return total;
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -28,22 +29,25 @@ namespace papisim::sim {
 /// This is what makes the single-threaded GEMM degrade *gradually* past the
 /// 5 MB footprint while the fully-batched GEMM jumps sharply (paper Figs 2-4).
 ///
-/// Threading model (DESIGN.md "Threading model"): all per-core mutable state
-/// (the slice, the core's victim-store partition, the retention-event
-/// sequence) lives in one *stripe* guarded by one mutex, so concurrent replay
-/// workers driving different cores never contend and workers hammering the
-/// same core serialize correctly.  An access takes exactly one stripe lock
-/// and then hits only MemController atomics -- no function ever holds two
-/// stripe locks, so the locking order "stripe mutex -> memctrl atomics" is
-/// trivially deadlock-free.  Aggregate victim counters are relaxed atomics.
-/// set_active_cores()/flush_*() take the stripe locks one at a time and may
-/// run concurrently with accesses, but reconfiguring while a replay is in
-/// flight is a modelling error (the capacity change would apply mid-kernel).
-/// Every stripe acquisition is accounted by selfmon (l3.stripe_acquisitions,
-/// plus l3.stripe_contention estimated from sampled try_lock probes), so
-/// replay-pool contention on shared cores is observable through the selfmon
-/// component without burdening the per-access fast path (see lock_stripe).
+/// Threading model (DESIGN.md §3b): all per-core mutable state (the slice,
+/// the core's victim-store partition, the retention-event sequence) lives in
+/// one *stripe* guarded by one mutex, so concurrent replay workers driving
+/// different cores never contend and workers hammering the same core
+/// serialize correctly.  Accesses run through a StripeHandle, which holds
+/// one stripe for its lifetime: a loop replay (or one scalar access) takes
+/// its core's stripe once, then touches only MemController atomics.  No
+/// function ever holds two stripe locks, so the locking order "stripe mutex
+/// -> memctrl atomics" is trivially deadlock-free.  Aggregate victim
+/// counters are relaxed atomics.  set_active_cores()/flush_*() take the
+/// stripe locks one at a time and may run concurrently with accesses, but
+/// reconfiguring while a replay is in flight is a modelling error (the
+/// capacity change would apply mid-kernel).  Every stripe acquisition is
+/// counted by selfmon (l3.stripe_acquisitions, and l3.stripe_contention for
+/// those that found the stripe already held), so replay-pool contention on
+/// shared cores is observable through the selfmon component.
 class L3Fabric {
+  struct Stripe;
+
  public:
   L3Fabric(const MachineConfig& cfg, MemController& mem);
 
@@ -64,17 +68,53 @@ class L3Fabric {
     std::uint64_t write_lines = 0;
   };
 
-  /// Demand load of `line` by `core`.  Memory reads and any eviction
-  /// writebacks are accounted to the MemController (and to `t` if given).
-  Source load_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr);
+  /// Exclusive hold on one core's stripe, released on destruction.  Its
+  /// accesses take no further lock.  A thread holds at most one handle at a
+  /// time (never two stripes at once).
+  class StripeHandle {
+   public:
+    /// Demand load of `line`.  Memory reads and any eviction writebacks are
+    /// accounted to the MemController (and to `t` if given).
+    Source load(std::uint64_t line, Traffic* t = nullptr) {
+      return fabric_->access_line(*stripe_, line, /*make_dirty=*/false, t);
+    }
 
-  /// Store with write-allocate: a miss reads the line from memory first
-  /// (the paper's "read incurred by the hardware when writing").
-  Source store_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr);
+    /// Store with write-allocate: a miss reads the line from memory first
+    /// (the paper's "read incurred by the hardware when writing").
+    Source store(std::uint64_t line, Traffic* t = nullptr) {
+      return fabric_->access_line(*stripe_, line, /*make_dirty=*/true, t);
+    }
 
-  /// dcbtst-style software prefetch: fetch into the slice (clean), reading
-  /// from memory on a miss.  Returns where the line came from.
-  Source prefetch_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr);
+    /// dcbtst-style software prefetch: fetch into the slice (clean),
+    /// reading from memory on a miss.  Returns where the line came from.
+    Source prefetch(std::uint64_t line, Traffic* t = nullptr) {
+      return load(line, t);
+    }
+
+   private:
+    friend class L3Fabric;
+    StripeHandle(L3Fabric& fabric, Stripe& stripe);
+
+    L3Fabric* fabric_;
+    Stripe* stripe_;
+    std::unique_lock<std::mutex> lock_;
+  };
+
+  /// Take `core`'s stripe, waiting while another thread holds it.
+  StripeHandle hold(std::uint32_t core) {
+    return StripeHandle(*this, *stripes_[core]);
+  }
+
+  /// Single accesses, each holding the stripe for one line.
+  Source load_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr) {
+    return hold(core).load(line, t);
+  }
+  Source store_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr) {
+    return hold(core).store(line, t);
+  }
+  Source prefetch_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr) {
+    return hold(core).prefetch(line, t);
+  }
 
   /// Write back and drop every line held in `core`'s slice (its victim
   /// partition is drained by flush_all()).
@@ -85,9 +125,9 @@ class L3Fabric {
 
   /// Direct slice access for tests/inspection (unsynchronized: do not call
   /// while replay workers are driving this core).
-  CacheLevel& slice(std::uint32_t core) { return *stripes_[core]->slice; }
+  CacheLevel& slice(std::uint32_t core) { return stripes_[core]->slice; }
   const CacheLevel& victim_store(std::uint32_t core = 0) const {
-    return *stripes_[core]->victim;
+    return stripes_[core]->victim;
   }
 
   std::uint64_t victim_recoveries() const {
@@ -103,31 +143,23 @@ class L3Fabric {
 
  private:
   /// Per-core stripe: everything one core's accesses mutate, under one lock.
-  struct Stripe {
+  /// Cache-line aligned with the caches held inline, so two cores' per-access
+  /// writes (hit/miss counts, retention events) never share a cache line.
+  struct alignas(64) Stripe {
+    Stripe(CacheLevel slice_cache, CacheLevel victim_cache)
+        : slice(std::move(slice_cache)), victim(std::move(victim_cache)) {}
     std::mutex mu;
-    std::unique_ptr<CacheLevel> slice;
-    std::unique_ptr<CacheLevel> victim;  ///< this core's lateral-cast-out share
+    CacheLevel slice;
+    CacheLevel victim;  ///< this core's lateral-cast-out share
     std::uint64_t retention_events = 0;  ///< per-core: order-independent across cores
-    // Selfmon staging, guarded by mu: acquisitions/contention accumulate in
-    // plain fields (the stripe line is already exclusive while locked) and
-    // flush to the selfmon registry in batches, keeping the per-access
-    // instrumentation cost off the hot path.
-    std::uint64_t selfmon_acquisitions = 0;
-    std::uint64_t selfmon_contention = 0;
   };
 
-  /// Lock a stripe with selfmon accounting: batched acquisition counts,
-  /// plus a try_lock contention probe when `probe` is set (sampled by the
-  /// caller); a plain lock when the instrumentation is compiled out.
-  static std::unique_lock<std::mutex> lock_stripe(Stripe& stripe,
-                                                  bool probe = false);
+  /// Lock a stripe, counting the acquisition (and, if the stripe was
+  /// already held, the contention) in selfmon.
+  static std::unique_lock<std::mutex> lock_stripe(Stripe& stripe);
 
-  /// Cold path of lock_stripe: push the staged counts into the selfmon
-  /// registry.  Deliberately out of line so the registry's TLS access never
-  /// burdens the per-access fast path.
-  static void flush_stripe_selfmon(Stripe& stripe);
-
-  Source access_line(std::uint32_t core, std::uint64_t line, bool make_dirty,
+  /// One access; the caller holds `stripe`.
+  Source access_line(Stripe& stripe, std::uint64_t line, bool make_dirty,
                      Traffic* t);
   void cast_out(Stripe& stripe, std::uint64_t line, bool dirty, Traffic* t);
   bool retained(Stripe& stripe, std::uint64_t line);

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "selfmon/metrics.hpp"
 #include "sim/machine.hpp"
 
 namespace papisim::sim {
@@ -47,6 +48,22 @@ TEST_F(EngineFixture, SequentialCopyBypassesCacheOneReadOneWrite) {
   // Nothing dirty left behind: flushing adds no writes.
   machine->flush_socket(0);
   EXPECT_EQ(writes(), kN * 8);
+}
+
+TEST_F(EngineFixture, ReplayTakesTheStripeOncePerLoopAndPerScalarCall) {
+  if (!selfmon::kEnabled) GTEST_SKIP() << "selfmon compiled out";
+  auto count = [](selfmon::CounterId id) { return selfmon::snapshot().counter(id); };
+  const std::uint64_t in = alloc(kN * 8);
+  LoopDesc loop;
+  loop.streams = {{in, 8, 8, AccessKind::Load}};
+  loop.iterations = kN;
+  const std::uint64_t acq0 = count(selfmon::CounterId::L3StripeAcquisitions);
+  const std::uint64_t cont0 = count(selfmon::CounterId::L3StripeContention);
+  EXPECT_EQ(eng().execute(loop).line_touches, kN * 8 / 64);
+  EXPECT_EQ(count(selfmon::CounterId::L3StripeAcquisitions) - acq0, 1u);
+  eng().store(in + 60, 16);  // straddles two lines: still one acquisition
+  EXPECT_EQ(count(selfmon::CounterId::L3StripeAcquisitions) - acq0, 2u);
+  EXPECT_EQ(count(selfmon::CounterId::L3StripeContention) - cont0, 0u);
 }
 
 TEST_F(EngineFixture, SoftwarePrefetchForcesStoreTargetToBeRead) {

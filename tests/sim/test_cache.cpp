@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -90,6 +91,10 @@ TEST(CacheLevel, InvalidateReportsDirtyStateAndFreesSlot) {
   inv = c.invalidate(7);
   EXPECT_FALSE(inv.present);
   EXPECT_EQ(c.valid_lines(), 0u);
+  c.access(8, false);
+  inv = c.invalidate(8);
+  EXPECT_TRUE(inv.present);
+  EXPECT_FALSE(inv.dirty);
 }
 
 TEST(CacheLevel, InvalidateMiddleKeepsLruOrderConsistent) {
@@ -156,6 +161,101 @@ TEST(CacheLevel, InsertBehavesLikeAccessForEvictionAccounting) {
   ASSERT_TRUE(r.evicted);
   EXPECT_EQ(r.victim_line, 5u);
   EXPECT_TRUE(r.victim_dirty);
+}
+
+// The packed tag word (line << 1 | dirty): the dirty bit must survive every
+// move through the recency order and come back out exactly.
+
+TEST(CacheLevel, DirtyBitMergesOnHit) {
+  CacheLevel c(64 * 2, 2, 64);  // 1 set, 2 ways
+  c.access(3, false);           // clean fill
+  EXPECT_TRUE(c.access(3, true).hit);   // a dirty hit marks the line dirty
+  EXPECT_TRUE(c.access(3, false).hit);  // a clean hit keeps it dirty
+  c.access(4, false);
+  const CacheLevel::Result r = c.access(5, false);  // evicts 3 (LRU)
+  ASSERT_TRUE(r.evicted);
+  EXPECT_EQ(r.victim_line, 3u);
+  EXPECT_TRUE(r.victim_dirty);
+}
+
+TEST(CacheLevel, EvictionReportsEachVictimsDirtyState) {
+  CacheLevel c(64 * 4, 4, 64);  // 1 set, 4 ways
+  for (std::uint64_t l = 0; l < 4; ++l) c.access(l, l % 2 == 1);
+  // Four more fills push the lines out in LRU order 0, 1, 2, 3.
+  for (std::uint64_t l = 0; l < 4; ++l) {
+    const CacheLevel::Result r = c.access(100 + l, false);
+    ASSERT_TRUE(r.evicted);
+    EXPECT_EQ(r.victim_line, l);
+    EXPECT_EQ(r.victim_dirty, l % 2 == 1) << "line " << l;
+  }
+}
+
+TEST(CacheLevel, FlushHandsSinkExactLineDirtyPairs) {
+  CacheLevel c(1 << 12, 4, 64);  // 16 sets
+  std::set<std::pair<std::uint64_t, bool>> expected;
+  for (std::uint64_t l = 0; l < 40; ++l) {
+    const bool dirty = l % 3 == 0;
+    c.access(l, dirty);
+    expected.emplace(l, dirty);
+  }
+  for (std::uint64_t l = 0; l < 40; l += 5) {
+    c.access(l, true);  // dirty hits flip some clean lines
+    expected.erase({l, false});
+    expected.emplace(l, true);
+  }
+  std::set<std::pair<std::uint64_t, bool>> flushed;
+  c.flush([&](std::uint64_t line, bool dirty) {
+    EXPECT_TRUE(flushed.emplace(line, dirty).second) << "line flushed twice";
+  });
+  EXPECT_EQ(flushed, expected);
+}
+
+TEST(CacheLevel, NeverFilledCacheIsEmptyAndFlushesNothing) {
+  // A 100 MiB victim partition that never receives a cast-out.
+  CacheLevel c(100ull << 20, 8, 64, /*hashed_sets=*/true);
+  EXPECT_EQ(c.valid_lines(), 0u);
+  EXPECT_FALSE(c.contains(0));
+  EXPECT_FALSE(c.contains(12345));
+  EXPECT_FALSE(c.invalidate(12345).present);
+  std::size_t calls = 0;
+  c.flush([&](std::uint64_t, bool) { ++calls; });
+  EXPECT_EQ(calls, 0u);
+  EXPECT_EQ(c.hits() + c.misses(), 0u);
+
+  // Emptied again by a flush: a second flush has nothing to hand over.
+  c.insert(7, true);
+  c.flush([&](std::uint64_t, bool) { ++calls; });
+  EXPECT_EQ(calls, 1u);
+  c.flush([&](std::uint64_t, bool) { ++calls; });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_FALSE(c.contains(7));
+}
+
+TEST(CacheLevel, LinesNearThePackingLimitRoundTrip) {
+  const std::uint64_t big[] = {1ull << 62, (1ull << 62) + 1,
+                               CacheLevel::kLineLimit - 2,
+                               CacheLevel::kLineLimit - 1};
+  CacheLevel c(64 * 4, 4, 64);  // 1 set, 4 ways
+  for (std::size_t i = 0; i < 4; ++i) c.access(big[i], i % 2 == 0);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(c.contains(big[i])) << i;
+    EXPECT_TRUE(c.access(big[i], false).hit) << i;
+  }
+  // Evictions hand back the exact line numbers and dirty bits.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const CacheLevel::Result r = c.access(i, false);
+    ASSERT_TRUE(r.evicted);
+    EXPECT_EQ(r.victim_line, big[i]);
+    EXPECT_EQ(r.victim_dirty, i % 2 == 0);
+  }
+  const CacheLevel::Invalidated inv = c.invalidate(big[2]);
+  EXPECT_TRUE(inv.present);
+  EXPECT_TRUE(inv.dirty);
+  std::set<std::pair<std::uint64_t, bool>> flushed;
+  c.flush([&](std::uint64_t line, bool dirty) { flushed.emplace(line, dirty); });
+  const std::set<std::pair<std::uint64_t, bool>> expected = {
+      {0, false}, {1, false}, {big[3], false}};
+  EXPECT_EQ(flushed, expected);
 }
 
 // Property-style sweep: for several geometries, a working set exactly at

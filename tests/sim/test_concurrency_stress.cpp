@@ -1,6 +1,8 @@
 // Concurrency stress test: eight host threads hammer one L3Fabric +
 // MemController with a mixed load/store/prefetch pattern, two threads per
-// simulated core so the per-stripe mutexes see real same-stripe contention.
+// simulated core so the per-stripe mutexes see real same-stripe contention,
+// once one line per stripe acquisition and once in 64-operation batches under
+// one StripeHandle (the replay engine's per-loop ownership).
 // Run under TSan (the `tsan` CMake preset) this is the data-race harness for
 // the striped fabric; under any build it checks the conservation laws the
 // commutative-atomics design guarantees regardless of interleaving:
@@ -42,6 +44,50 @@ struct ThreadTally {
   std::uint64_t ops = 0;
 };
 
+/// The conservation laws every interleaving must keep, then an empty fabric
+/// after flush_all.
+void expect_conserved(const MachineConfig& cfg, const MemController& mem,
+                      L3Fabric& l3, const std::vector<ThreadTally>& tallies,
+                      std::uint64_t expected_ops) {
+  L3Fabric::Traffic total;
+  std::uint64_t total_ops = 0;
+  for (const ThreadTally& tally : tallies) {
+    total.read_lines += tally.traffic.read_lines;
+    total.write_lines += tally.traffic.write_lines;
+    total_ops += tally.ops;
+  }
+
+  // Every access performed exactly one slice lookup.
+  EXPECT_EQ(total_ops, expected_ops);
+  EXPECT_EQ(l3.total_slice_lookups(), total_ops);
+
+  // The controller saw exactly the lines the threads accounted -- byte for
+  // byte, independent of interleaving.
+  EXPECT_EQ(mem.total_bytes(MemDir::Read), total.read_lines * cfg.line_bytes);
+  EXPECT_EQ(mem.total_bytes(MemDir::Write), total.write_lines * cfg.line_bytes);
+
+  // Channel totals sum back to the direction totals (spread cursor is atomic,
+  // so no increment can be lost to a torn update).
+  std::uint64_t chan_read = 0;
+  std::uint64_t chan_write = 0;
+  for (std::uint32_t ch = 0; ch < cfg.mem_channels; ++ch) {
+    chan_read += mem.channel_bytes(ch, MemDir::Read);
+    chan_write += mem.channel_bytes(ch, MemDir::Write);
+  }
+  EXPECT_EQ(chan_read, mem.total_bytes(MemDir::Read));
+  EXPECT_EQ(chan_write, mem.total_bytes(MemDir::Write));
+
+  // Sanity on the victim path: recoveries can't outnumber memory reads
+  // avoided, retention misses can't outnumber lookups.
+  EXPECT_LE(l3.victim_recoveries(), total_ops);
+  EXPECT_LE(l3.victim_retention_misses(), total_ops);
+
+  l3.flush_all();
+  for (std::uint32_t c = 0; c < kCores; ++c) {
+    EXPECT_EQ(l3.slice(c).valid_lines(), 0u) << "slice " << c;
+  }
+}
+
 TEST(ConcurrencyStress, EightThreadsConserveTrafficAndLookups) {
   const MachineConfig cfg = stress_config();
   MemController mem(cfg.mem_channels, cfg.line_bytes, cfg.channel_interleave_lines);
@@ -79,43 +125,53 @@ TEST(ConcurrencyStress, EightThreadsConserveTrafficAndLookups) {
     }
   }  // jthreads join here
 
-  L3Fabric::Traffic total;
-  std::uint64_t total_ops = 0;
-  for (const ThreadTally& tally : tallies) {
-    total.read_lines += tally.traffic.read_lines;
-    total.write_lines += tally.traffic.write_lines;
-    total_ops += tally.ops;
-  }
+  expect_conserved(cfg, mem, l3, tallies, kThreads * kOpsPerThread);
+}
 
-  // Every access performed exactly one slice lookup.
-  EXPECT_EQ(total_ops, kThreads * kOpsPerThread);
-  EXPECT_EQ(l3.total_slice_lookups(), total_ops);
+TEST(ConcurrencyStress, HandleBatchesConserveTrafficAndLookups) {
+  // The replay engine's ownership pattern: each operation batch holds its
+  // core's stripe through one StripeHandle, as one loop replay does.  Two
+  // threads per core make the handles themselves contend.
+  constexpr std::uint64_t kBatch = 64;
+  const MachineConfig cfg = stress_config();
+  MemController mem(cfg.mem_channels, cfg.line_bytes, cfg.channel_interleave_lines);
+  L3Fabric l3(cfg, mem);
+  l3.set_active_cores(kCores);
 
-  // The controller saw exactly the lines the threads accounted -- byte for
-  // byte, independent of interleaving.
-  EXPECT_EQ(mem.total_bytes(MemDir::Read), total.read_lines * cfg.line_bytes);
-  EXPECT_EQ(mem.total_bytes(MemDir::Write), total.write_lines * cfg.line_bytes);
+  std::vector<ThreadTally> tallies(kThreads);
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(kThreads);
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        const std::uint32_t core = t % kCores;
+        const std::uint64_t base = static_cast<std::uint64_t>(core) << 32;
+        ThreadTally& tally = tallies[t];
+        for (std::uint64_t b = 0; b < kOpsPerThread / kBatch; ++b) {
+          L3Fabric::StripeHandle stripe = l3.hold(core);
+          for (std::uint64_t j = 0; j < kBatch; ++j) {
+            const std::uint64_t i = b * kBatch + j;
+            const std::uint64_t line = base + (i * 7 + t) % 4096;
+            switch (i % 3) {
+              case 0:
+                stripe.load(line, &tally.traffic);
+                break;
+              case 1:
+                stripe.store(line, &tally.traffic);
+                break;
+              default:
+                stripe.prefetch(line, &tally.traffic);
+                break;
+            }
+            ++tally.ops;
+          }
+        }
+      });
+    }
+  }  // jthreads join here
 
-  // Channel totals sum back to the direction totals (spread cursor is atomic,
-  // so no increment can be lost to a torn update).
-  std::uint64_t chan_read = 0;
-  std::uint64_t chan_write = 0;
-  for (std::uint32_t ch = 0; ch < cfg.mem_channels; ++ch) {
-    chan_read += mem.channel_bytes(ch, MemDir::Read);
-    chan_write += mem.channel_bytes(ch, MemDir::Write);
-  }
-  EXPECT_EQ(chan_read, mem.total_bytes(MemDir::Read));
-  EXPECT_EQ(chan_write, mem.total_bytes(MemDir::Write));
-
-  // Sanity on the victim path: recoveries can't outnumber memory reads
-  // avoided, retention misses can't outnumber lookups.
-  EXPECT_LE(l3.victim_recoveries(), total_ops);
-  EXPECT_LE(l3.victim_retention_misses(), total_ops);
-
-  l3.flush_all();
-  for (std::uint32_t c = 0; c < kCores; ++c) {
-    EXPECT_EQ(l3.slice(c).valid_lines(), 0u) << "slice " << c;
-  }
+  expect_conserved(cfg, mem, l3, tallies,
+                   kThreads * (kOpsPerThread / kBatch) * kBatch);
 }
 
 TEST(ConcurrencyStress, DisjointCoresNeedNoCrossStripeCoordination) {
