@@ -16,11 +16,13 @@
 //                      grid wall time and write them as JSON (the checked-in
 //                      BENCH_sim.json at the repo root).
 //   --traffic-fingerprint
-//                      skip the suite; replay a fixed deterministic workload
-//                      (noise off) through the full PCP stack and print the
-//                      exact simulated byte totals.  The trace-off CI parity
-//                      leg diffs this output between PAPISIM_TRACE=ON and
-//                      OFF builds: tracing must never perturb the simulated
+//                      skip the suite; replay fixed deterministic workloads
+//                      (GEMM through the full PCP stack, a copy loop with
+//                      noise off and on, an S1CF strided-store re-sort) and
+//                      print the exact simulated byte and op counts of every
+//                      memory channel.  The compile-out CI parity legs diff
+//                      this output against the default build: no
+//                      instrumentation layer may perturb the simulated
 //                      traffic, so the lines are bit-identical.
 #include <benchmark/benchmark.h>
 
@@ -32,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -227,18 +230,37 @@ static void BM_SpeSampledReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_SpeSampledReplay)->Arg(1024)->Arg(64);
 
-static void BM_ResortReplay(benchmark::State& state) {
-  sim::Machine m(sim::MachineConfig::summit());
-  m.set_noise_enabled(false);
-  m.set_active_cores(0, m.cores_per_socket());
-  const fft::RankDims dims = fft::RankDims::of(128, mpi::Grid{2, 4});
-  const fft::ResortBuffers buf =
-      fft::ResortBuffers::allocate(m.address_space(), dims.bytes());
-  std::uint64_t touches = 0;
-  for (auto _ : state) {
-    touches += fft::s1cf_combined_replay(m, 0, 0, dims, buf, false).line_touches;
-    m.flush_socket(0);
+namespace {
+
+/// The S1CF re-sort (Listing 8: sequential loads, strided stores) of one
+/// FFT rank on a fully active socket, so there is no victim store and every
+/// slice miss goes to memory: the simulator's miss path.
+struct ResortLeg {
+  sim::Machine m{sim::MachineConfig::summit()};
+  fft::RankDims dims = fft::RankDims::of(128, mpi::Grid{2, 4});
+  fft::ResortBuffers buf;
+
+  ResortLeg() {
+    m.set_noise_enabled(false);
+    m.set_active_cores(0, m.cores_per_socket());
+    buf = fft::ResortBuffers::allocate(m.address_space(), dims.bytes());
   }
+
+  /// One replay plus the socket flush; returns the line touches.
+  std::uint64_t run() {
+    const std::uint64_t touches =
+        fft::s1cf_combined_replay(m, 0, 0, dims, buf, false).line_touches;
+    m.flush_socket(0);
+    return touches;
+  }
+};
+
+}  // namespace
+
+static void BM_ResortReplay(benchmark::State& state) {
+  ResortLeg leg;
+  std::uint64_t touches = 0;
+  for (auto _ : state) touches += leg.run();
   state.SetItemsProcessed(static_cast<std::int64_t>(touches));
 }
 BENCHMARK(BM_ResortReplay);
@@ -267,6 +289,20 @@ double sequential_accesses_per_sec(double budget_sec) {
   double elapsed = 0.0;
   do {
     touches += m.engine(0, 0).execute(loop).line_touches;
+    elapsed = seconds_since(t0);
+  } while (elapsed < budget_sec);
+  return static_cast<double>(touches) / elapsed;
+}
+
+/// The S1CF strided-store re-sort (ResortLeg) for ~budget_sec, line touches
+/// per wall second including the socket flush after each replay.
+double resort_accesses_per_sec(double budget_sec) {
+  ResortLeg leg;
+  std::uint64_t touches = 0;
+  const auto t0 = BenchClock::now();
+  double elapsed = 0.0;
+  do {
+    touches += leg.run();
     elapsed = seconds_since(t0);
   } while (elapsed < budget_sec);
   return static_cast<double>(touches) / elapsed;
@@ -406,8 +442,24 @@ struct SampledSweepPoint {
   std::uint32_t clusters = 0, fallbacks = 0;
 };
 
+/// Every channel's read/write bytes and ops, one line per channel.
+std::string channel_dump(const sim::MemController& mc) {
+  std::string out;
+  for (std::uint32_t ch = 0; ch < mc.channels(); ++ch) {
+    out += "  ch" + std::to_string(ch) +
+           " read=" + std::to_string(mc.channel_bytes(ch, sim::MemDir::Read)) +
+           " write=" + std::to_string(mc.channel_bytes(ch, sim::MemDir::Write)) +
+           " read_ops=" + std::to_string(mc.channel_ops(ch, sim::MemDir::Read)) +
+           " write_ops=" + std::to_string(mc.channel_ops(ch, sim::MemDir::Write)) +
+           "\n";
+  }
+  return out;
+}
+
+/// `channels`, if given, receives the socket's channel_dump() afterwards.
 kernels::Measurement measure_gemm_leg(std::uint64_t n, bool sampled,
-                                      double* wall_sec) {
+                                      double* wall_sec,
+                                      std::string* channels = nullptr) {
   sim::Machine machine(sim::MachineConfig::summit());
   machine.set_noise_enabled(false);
   pcp::Pmcd daemon(machine);
@@ -428,6 +480,7 @@ kernels::Measurement measure_gemm_leg(std::uint64_t n, bool sampled,
       [&](std::uint32_t core) { kernels::run_gemm(machine, 0, core, n, buf); },
       opt);
   *wall_sec = seconds_since(t0);
+  if (channels != nullptr) *channels = channel_dump(machine.memctrl(0));
   return m;
 }
 
@@ -460,6 +513,7 @@ std::vector<SampledSweepPoint> sampled_replay_sweep() {
 
 int emit_bench_json(const std::string& path) {
   const double seq = sequential_accesses_per_sec(0.25);
+  const double resort = resort_accesses_per_sec(0.25);
   const double par8 = parallel_accesses_per_sec(8, 0.5);
 
   // Warmed, interleaved measurement with one shared baseline: the overhead
@@ -496,6 +550,8 @@ int emit_bench_json(const std::string& path) {
   out << "  \"machine\": \"" << json_escape(curated.machine.name) << "\",\n";
   out << "  \"accesses_per_sec\": {\n";
   out << "    \"sequential_replay\": " << static_cast<std::uint64_t>(seq)
+      << ",\n";
+  out << "    \"resort_replay\": " << static_cast<std::uint64_t>(resort)
       << ",\n";
   out << "    \"parallel_gemm_replay_8t\": " << static_cast<std::uint64_t>(par8)
       << "\n  },\n";
@@ -558,6 +614,7 @@ int emit_bench_json(const std::string& path) {
   }
   out << "    ]\n  }\n}\n";
   std::cout << "wrote " << path << " (seq " << static_cast<std::uint64_t>(seq)
+            << " acc/s, resort " << static_cast<std::uint64_t>(resort)
             << " acc/s, 8t " << static_cast<std::uint64_t>(par8)
             << " acc/s, probe full grid " << full_ms << " ms)\n";
   return probe::all_confirmed(curated_reports) &&
@@ -566,18 +623,43 @@ int emit_bench_json(const std::string& path) {
              : 1;
 }
 
-/// --traffic-fingerprint: exact simulated traffic of a fixed workload.
-/// Everything printed is a deterministic function of the simulation (noise
-/// off, fixed sizes/reps/seeds) -- no wall-clock times, no rates -- so two
-/// builds that simulate identically print identical bytes.  Used by CI to
-/// prove the tracing layer (PAPISIM_TRACE) never perturbs traffic.
+/// The canonical 1-load/1-store copy loop replayed 8 times on core 0, then
+/// the socket flushed; with noise on, every replay also accrues background
+/// traffic and each one a repetition and a measurement overhead, all spread
+/// over the channels.
+std::uint64_t copy_loop_leg(sim::Machine& m, bool noise) {
+  m.set_noise_enabled(noise);
+  sim::LoopDesc loop;
+  loop.iterations = 1 << 16;
+  loop.streams = {{1 << 20, 8, 8, sim::AccessKind::Load},
+                  {1 << 26, 8, 8, sim::AccessKind::Store}};
+  std::uint64_t touches = 0;
+  for (int i = 0; i < 8; ++i) {
+    touches += m.engine(0, 0).execute(loop).line_touches;
+    if (noise) {
+      m.noise(0).repetition_overhead();
+      m.noise(0).measurement_overhead();
+    }
+  }
+  m.flush_socket(0);
+  return touches;
+}
+
+/// --traffic-fingerprint: exact simulated traffic of fixed workloads.
+/// Everything printed is a deterministic function of the simulation (fixed
+/// sizes/reps/seeds, serial replay; the noise leg's jitter stream is seeded)
+/// -- no wall-clock times, no rates -- so two builds that simulate
+/// identically print identical bytes.  Used by CI to prove the compile-out
+/// layers (PAPISIM_TRACE, PAPISIM_SPE, PAPISIM_SELFMON) never perturb
+/// traffic.
 int emit_traffic_fingerprint() {
-  std::cout << "traffic-fingerprint v1\n";
+  std::cout << "traffic-fingerprint v2\n";
   for (const std::uint64_t n :
        {std::uint64_t{64}, std::uint64_t{128}, std::uint64_t{256}}) {
     for (const bool sampled : {false, true}) {
       double wall = 0.0;  // measured but deliberately not printed
-      const kernels::Measurement m = measure_gemm_leg(n, sampled, &wall);
+      std::string channels;
+      const kernels::Measurement m = measure_gemm_leg(n, sampled, &wall, &channels);
       std::cout << "gemm n=" << n << " mode=" << (sampled ? "sampled" : "full")
                 << " reps=" << kernels::repetitions_for(n)
                 << " threads=" << m.threads << " read="
@@ -587,23 +669,31 @@ int emit_traffic_fingerprint() {
                 << " replayed=" << m.reps_replayed
                 << " extrapolated=" << m.reps_extrapolated
                 << " clusters=" << m.clusters
-                << " fallbacks=" << m.resample_fallbacks << "\n";
+                << " fallbacks=" << m.resample_fallbacks << "\n"
+                << channels;
     }
   }
-  {
+  for (const bool noise : {false, true}) {
     sim::Machine m(sim::MachineConfig::summit());
-    m.set_noise_enabled(false);
-    sim::LoopDesc loop;
-    loop.iterations = 1 << 16;
-    loop.streams = {{1 << 20, 8, 8, sim::AccessKind::Load},
-                    {1 << 26, 8, 8, sim::AccessKind::Store}};
-    std::uint64_t touches = 0;
-    for (int i = 0; i < 8; ++i) touches += m.engine(0, 0).execute(loop).line_touches;
-    m.flush_socket(0);
-    std::cout << "loop touches=" << touches
-              << " read=" << m.memctrl(0).total_bytes(sim::MemDir::Read)
-              << " write=" << m.memctrl(0).total_bytes(sim::MemDir::Write)
-              << "\n";
+    const std::uint64_t touches = copy_loop_leg(m, noise);
+    const sim::MemController& mc = m.memctrl(0);
+    std::cout << "loop noise=" << (noise ? "on" : "off") << " touches=" << touches
+              << " read=" << mc.total_bytes(sim::MemDir::Read)
+              << " write=" << mc.total_bytes(sim::MemDir::Write)
+              << " read_ops=" << mc.total_ops(sim::MemDir::Read)
+              << " write_ops=" << mc.total_ops(sim::MemDir::Write) << "\n"
+              << channel_dump(mc);
+  }
+  {
+    ResortLeg leg;
+    const std::uint64_t touches = leg.run();
+    const sim::MemController& mc = leg.m.memctrl(0);
+    std::cout << "s1cf touches=" << touches
+              << " read=" << mc.total_bytes(sim::MemDir::Read)
+              << " write=" << mc.total_bytes(sim::MemDir::Write)
+              << " read_ops=" << mc.total_ops(sim::MemDir::Read)
+              << " write_ops=" << mc.total_ops(sim::MemDir::Write) << "\n"
+              << channel_dump(mc);
   }
   return 0;
 }

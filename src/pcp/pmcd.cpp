@@ -640,11 +640,15 @@ void Pmcd::serve_shard(std::uint32_t shard_index) {
         // then the pool exits.  The supervisor (post) restarts it on demand.
         // The flight recorder fires first, while this worker's in-flight
         // spans (queue wait + this service span) are still in its ring.
+        // The pool is marked crashed before the in-flight request fails:
+        // its client may post again the moment it sees the failure, and
+        // that post must find the flag and restart the pool, not enqueue
+        // into the dying one.
         svc_span(trace::SpanStatus::Crash, fault_a, 0);
         trace::flight_dump("crash");
+        crash_pool();
         fail_request(q.req, Error(Status::Internal,
                                   "pmcd: daemon crashed serving the request"));
-        crash_pool();
         return;
       case FaultKind::None:
         break;

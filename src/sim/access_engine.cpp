@@ -21,12 +21,10 @@ LoopStats& LoopStats::operator+=(const LoopStats& o) {
 }
 
 AccessEngine::AccessEngine(const MachineConfig& cfg, std::uint32_t core,
-                           L3Fabric& l3, MemController& mem, SimClock& clock,
-                           NoiseModel& noise)
+                           L3Fabric& l3, SimClock& clock, NoiseModel& noise)
     : cfg_(cfg),
       core_(core),
       l3_(l3),
-      mem_(mem),
       clock_(clock),
       noise_(noise) {}
 
@@ -132,10 +130,6 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
     }
   }
 
-  // Traffic is counted per access, not by diffing the global counters, so
-  // concurrently replaying cores cannot pollute each other's stats.
-  L3Fabric::Traffic traffic;
-
   // Precise-event sampling (DESIGN.md §3g): one timestamp per execute() --
   // samples are joined against phase boundaries, which are orders of
   // magnitude coarser than a loop replay.
@@ -148,7 +142,9 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
 
   {
     // One stripe acquisition for the whole loop: one thread replays each
-    // core, so nothing else needs the stripe until the loop ends.
+    // core, so nothing else needs the stripe until the loop ends.  The hold
+    // counts this loop's memory lines, so concurrently replaying cores
+    // cannot pollute each other's stats; its release publishes them.
     L3Fabric::StripeHandle stripe = l3_.hold(core_);
 
     while (true) {
@@ -179,23 +175,22 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
       L3Fabric::Source src = L3Fabric::Source::Memory;
       bool bypassed = false;
       if (sd.kind == AccessKind::Load) {
-        src = stripe.load(touched_line, &traffic);
+        src = stripe.load(touched_line);
         account(stats, src);
       } else if (loop.sw_prefetch) {
         // dcbtst: prefetch the target line into L3, then the store hits it.
         // The sample's hit level reports where the prefetch found the line.
-        src = stripe.prefetch(touched_line, &traffic);
+        src = stripe.prefetch(touched_line);
         account(stats, src);
-        stripe.store(touched_line, &traffic);
+        stripe.store(touched_line);
         ++stats.allocated_store_lines;
       } else if (bypass_ok[k] && strided_active == 0) {
         // Streaming store: bypass the cache, write the full line to memory.
-        mem_.add_line(touched_line, MemDir::Write);
-        ++traffic.write_lines;
+        stripe.write_through(touched_line);
         ++stats.bypassed_store_lines;
         bypassed = true;
       } else {
-        src = stripe.store(touched_line, &traffic);
+        src = stripe.store(touched_line);
         account(stats, src);
         ++stats.allocated_store_lines;
       }
@@ -228,10 +223,10 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
               next_line_iter(sd.base, sd.stride, imin, touched_line, cfg_.line_bytes);
       }
     }
-  }  // the stripe is released here
+    stats.mem_read_bytes = stripe.lines(MemDir::Read) * cfg_.line_bytes;
+    stats.mem_write_bytes = stripe.lines(MemDir::Write) * cfg_.line_bytes;
+  }  // the stripe is released here, publishing the loop's memory lines
 
-  stats.mem_read_bytes = traffic.read_lines * cfg_.line_bytes;
-  stats.mem_write_bytes = traffic.write_lines * cfg_.line_bytes;
   stats.flops = static_cast<double>(loop.iterations) * loop.flops_per_iter;
   // Stride mix (StreamDetector taxonomy): a non-zero stride below two lines
   // advances line-by-line (sequential); strided_capable streams are Stride-N.
@@ -271,12 +266,11 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
 void AccessEngine::load(std::uint64_t addr, std::uint32_t bytes) {
   const std::uint64_t first = addr / cfg_.line_bytes;
   const std::uint64_t last = (addr + bytes - 1) / cfg_.line_bytes;
-  L3Fabric::Traffic traffic;
   spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
   const std::uint64_t spe_t_ns = spe != nullptr ? spe_time_ns() : 0;
   L3Fabric::StripeHandle stripe = l3_.hold(core_);
   for (std::uint64_t line = first; line <= last; ++line) {
-    const L3Fabric::Source src = stripe.load(line, &traffic);
+    const L3Fabric::Source src = stripe.load(line);
     account(scalar_stats_, src);
     ++scalar_stats_.line_touches;
     if constexpr (spe::kEnabled) {
@@ -286,18 +280,17 @@ void AccessEngine::load(std::uint64_t addr, std::uint32_t bytes) {
       }
     }
   }
-  scalar_stats_.mem_read_bytes += traffic.read_lines * cfg_.line_bytes;
+  scalar_stats_.mem_read_bytes += stripe.lines(MemDir::Read) * cfg_.line_bytes;
 }
 
 void AccessEngine::store(std::uint64_t addr, std::uint32_t bytes) {
   const std::uint64_t first = addr / cfg_.line_bytes;
   const std::uint64_t last = (addr + bytes - 1) / cfg_.line_bytes;
-  L3Fabric::Traffic traffic;
   spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
   const std::uint64_t spe_t_ns = spe != nullptr ? spe_time_ns() : 0;
   L3Fabric::StripeHandle stripe = l3_.hold(core_);
   for (std::uint64_t line = first; line <= last; ++line) {
-    const L3Fabric::Source src = stripe.store(line, &traffic);
+    const L3Fabric::Source src = stripe.store(line);
     account(scalar_stats_, src);
     ++scalar_stats_.line_touches;
     ++scalar_stats_.allocated_store_lines;
@@ -308,8 +301,8 @@ void AccessEngine::store(std::uint64_t addr, std::uint32_t bytes) {
       }
     }
   }
-  scalar_stats_.mem_read_bytes += traffic.read_lines * cfg_.line_bytes;
-  scalar_stats_.mem_write_bytes += traffic.write_lines * cfg_.line_bytes;
+  scalar_stats_.mem_read_bytes += stripe.lines(MemDir::Read) * cfg_.line_bytes;
+  scalar_stats_.mem_write_bytes += stripe.lines(MemDir::Write) * cfg_.line_bytes;
 }
 
 void AccessEngine::prefetch(std::uint64_t addr) {

@@ -94,13 +94,15 @@ struct CoreCounters {
 ///
 /// Thread safety: one engine is single-threaded (one simulated core == one
 /// driving thread); *different* engines may replay concurrently.  All traffic
-/// an engine reports in LoopStats is counted per access (L3Fabric::Traffic),
-/// never by diffing the MemController's global counters, so concurrent cores
-/// cannot leak into each other's statistics.
-class AccessEngine {
+/// an engine reports in LoopStats is counted by its own stripe hold
+/// (L3Fabric::StripeHandle::lines), never by diffing the MemController's
+/// global counters, so concurrent cores cannot leak into each other's
+/// statistics.  Cache-line aligned: each core's engine writes its own
+/// counters on every replay, and two engines must never share a line.
+class alignas(64) AccessEngine {
  public:
   AccessEngine(const MachineConfig& cfg, std::uint32_t core, L3Fabric& l3,
-               MemController& mem, SimClock& clock, NoiseModel& noise);
+               SimClock& clock, NoiseModel& noise);
 
   /// Replay a full innermost-loop nest execution.
   LoopStats execute(const LoopDesc& loop);
@@ -151,7 +153,6 @@ class AccessEngine {
   const MachineConfig& cfg_;
   std::uint32_t core_;
   L3Fabric& l3_;
-  MemController& mem_;
   SimClock& clock_;
   NoiseModel& noise_;
   /// Virtual timestamp SPE samples carry: shared clock plus this core's

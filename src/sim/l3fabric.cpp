@@ -1,6 +1,7 @@
 #include "sim/l3fabric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "selfmon/metrics.hpp"
@@ -21,8 +22,21 @@ std::unique_lock<std::mutex> L3Fabric::lock_stripe(Stripe& stripe) {
 L3Fabric::StripeHandle::StripeHandle(L3Fabric& fabric, Stripe& stripe)
     : fabric_(&fabric), stripe_(&stripe), lock_(lock_stripe(stripe)) {}
 
+void L3Fabric::publish(Stripe& stripe) {
+  for (std::uint64_t m = stripe.touched; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
+    mem_.add_lines(static_cast<std::uint32_t>(i / 2), static_cast<MemDir>(i & 1),
+                   stripe.lines[i]);
+    stripe.lines[i] = 0;
+  }
+  stripe.touched = 0;
+}
+
 L3Fabric::L3Fabric(const MachineConfig& cfg, MemController& mem)
     : cfg_(cfg), mem_(mem) {
+  if (mem.channels() > kMaxChannels) {
+    throw std::invalid_argument("L3Fabric: at most 32 memory channels");
+  }
   stripes_.reserve(cfg.cores_per_socket);
   for (std::uint32_t c = 0; c < cfg.cores_per_socket; ++c) {
     stripes_.push_back(std::make_unique<Stripe>(
@@ -76,61 +90,71 @@ bool L3Fabric::retained(Stripe& stripe, std::uint64_t line) {
          retention_threshold_;
 }
 
-void L3Fabric::cast_out(Stripe& stripe, std::uint64_t line, bool dirty,
-                        Traffic* t) {
+void L3Fabric::cast_out(Stripe& stripe, std::uint64_t line, bool dirty) {
   if (stripe.victim.capacity_lines() == 0) {
-    if (dirty) {
-      mem_.add_line(line, MemDir::Write);
-      if (t) ++t->write_lines;
-    }
+    if (dirty) count_line(stripe, line, MemDir::Write);
     return;
   }
   const CacheLevel::Result r = stripe.victim.insert(line, dirty);
-  if (r.evicted && r.victim_dirty) {
-    mem_.add_line(r.victim_line, MemDir::Write);
-    if (t) ++t->write_lines;
-  }
+  if (r.evicted && r.victim_dirty) count_line(stripe, r.victim_line, MemDir::Write);
 }
 
 L3Fabric::Source L3Fabric::access_line(Stripe& stripe, std::uint64_t line,
-                                       bool make_dirty, Traffic* t) {
+                                       bool make_dirty) {
   const CacheLevel::Result r = stripe.slice.access(line, make_dirty);
   if (r.hit) return Source::L3Hit;
 
   // Miss: access() already filled the line (with the right dirty bit) and
   // reported the displaced victim; cast that victim out laterally.
-  if (r.evicted) cast_out(stripe, r.victim_line, r.victim_dirty, t);
+  if (r.evicted) cast_out(stripe, r.victim_line, r.victim_dirty);
 
   // Did the line come from a lateral cast-out (victim store) or from memory?
   const CacheLevel::Invalidated inv = stripe.victim.invalidate(line);
   if (inv.present) {
     if (retained(stripe, line)) {
-      victim_recoveries_.fetch_add(1, std::memory_order_relaxed);
+      selfmon::detail::owner_add(stripe.victim_recoveries, 1);
       return Source::VictimHit;
     }
-    victim_retention_misses_.fetch_add(1, std::memory_order_relaxed);
+    selfmon::detail::owner_add(stripe.victim_retention_misses, 1);
   }
-  mem_.add_line(line, MemDir::Read);
-  if (t) ++t->read_lines;
+  count_line(stripe, line, MemDir::Read);
   return Source::Memory;
 }
 
 void L3Fabric::flush_core(std::uint32_t core) {
   Stripe& stripe = *stripes_[core];
   const auto lock = lock_stripe(stripe);
-  stripe.slice.flush([this](std::uint64_t line, bool dirty) {
-    if (dirty) mem_.add_line(line, MemDir::Write);
+  stripe.slice.flush([&](std::uint64_t line, bool dirty) {
+    if (dirty) count_line(stripe, line, MemDir::Write);
   });
+  publish(stripe);
 }
 
 void L3Fabric::flush_all() {
   for (std::uint32_t c = 0; c < cfg_.cores_per_socket; ++c) flush_core(c);
   for (auto& stripe : stripes_) {
     const auto lock = lock_stripe(*stripe);
-    stripe->victim.flush([this](std::uint64_t line, bool dirty) {
-      if (dirty) mem_.add_line(line, MemDir::Write);
+    stripe->victim.flush([&](std::uint64_t line, bool dirty) {
+      if (dirty) count_line(*stripe, line, MemDir::Write);
     });
+    publish(*stripe);
   }
+}
+
+std::uint64_t L3Fabric::victim_recoveries() const {
+  std::uint64_t total = 0;
+  for (const auto& stripe : stripes_) {
+    total += stripe->victim_recoveries.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t L3Fabric::victim_retention_misses() const {
+  std::uint64_t total = 0;
+  for (const auto& stripe : stripes_) {
+    total += stripe->victim_retention_misses.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::uint64_t L3Fabric::total_slice_lookups() const {

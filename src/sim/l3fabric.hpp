@@ -2,6 +2,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -30,21 +31,26 @@ namespace papisim::sim {
 /// 5 MB footprint while the fully-batched GEMM jumps sharply (paper Figs 2-4).
 ///
 /// Threading model (DESIGN.md §3b): all per-core mutable state (the slice,
-/// the core's victim-store partition, the retention-event sequence) lives in
-/// one *stripe* guarded by one mutex, so concurrent replay workers driving
-/// different cores never contend and workers hammering the same core
-/// serialize correctly.  Accesses run through a StripeHandle, which holds
-/// one stripe for its lifetime: a loop replay (or one scalar access) takes
-/// its core's stripe once, then touches only MemController atomics.  No
-/// function ever holds two stripe locks, so the locking order "stripe mutex
-/// -> memctrl atomics" is trivially deadlock-free.  Aggregate victim
-/// counters are relaxed atomics.  set_active_cores()/flush_*() take the
-/// stripe locks one at a time and may run concurrently with accesses, but
-/// reconfiguring while a replay is in flight is a modelling error (the
-/// capacity change would apply mid-kernel).  Every stripe acquisition is
-/// counted by selfmon (l3.stripe_acquisitions, and l3.stripe_contention for
-/// those that found the stripe already held), so replay-pool contention on
-/// shared cores is observable through the selfmon component.
+/// the core's victim-store partition, the retention-event sequence, the
+/// memory lines of the current hold) lives in one *stripe* guarded by one
+/// mutex, so concurrent replay workers driving different cores never contend
+/// and workers hammering the same core serialize correctly.  Accesses run
+/// through a StripeHandle, which holds one stripe for its lifetime: a loop
+/// replay (or one scalar access) takes its core's stripe once and counts its
+/// memory lines per channel in the stripe; releasing the handle publishes
+/// them to the MemController, one add_lines() per touched channel and
+/// direction.  The per-line path does no atomic read-modify-write, and the
+/// controller's counters are exact whenever no handle is held.  No function
+/// ever holds two stripe locks, so the locking order "stripe mutex ->
+/// memctrl atomics" is trivially deadlock-free.  Victim counters are
+/// per-stripe, written only under the stripe lock and summed on read.
+/// set_active_cores()/flush_*() take the stripe locks one at a time and may
+/// run concurrently with accesses, but reconfiguring while a replay is in
+/// flight is a modelling error (the capacity change would apply
+/// mid-kernel).  Every stripe acquisition is counted by selfmon
+/// (l3.stripe_acquisitions, and l3.stripe_contention for those that found
+/// the stripe already held), so replay-pool contention on shared cores is
+/// observable through the selfmon component.
 class L3Fabric {
   struct Stripe;
 
@@ -59,36 +65,50 @@ class L3Fabric {
 
   enum class Source : std::uint8_t { L3Hit, VictimHit, Memory };
 
-  /// Memory transactions one access caused, in whole lines.  Callers that
-  /// need per-core traffic totals pass one of these instead of diffing the
-  /// MemController's global counters: the global diff would absorb other
-  /// cores' concurrent traffic, while this count is exact per access.
-  struct Traffic {
-    std::uint64_t read_lines = 0;
-    std::uint64_t write_lines = 0;
-  };
-
   /// Exclusive hold on one core's stripe, released on destruction.  Its
   /// accesses take no further lock.  A thread holds at most one handle at a
-  /// time (never two stripes at once).
+  /// time (never two stripes at once).  Memory lines the accesses cause are
+  /// counted in the stripe and published to the MemController once, when
+  /// the handle is destroyed.
   class StripeHandle {
    public:
+    StripeHandle(const StripeHandle&) = delete;
+    StripeHandle& operator=(const StripeHandle&) = delete;
+    /// Publishes before lock_ is released, so the next holder starts from
+    /// zero.  Not movable, so exactly one destructor publishes a hold.
+    ~StripeHandle() {
+      if (stripe_->touched != 0) fabric_->publish(*stripe_);
+    }
+
     /// Demand load of `line`.  Memory reads and any eviction writebacks are
-    /// accounted to the MemController (and to `t` if given).
-    Source load(std::uint64_t line, Traffic* t = nullptr) {
-      return fabric_->access_line(*stripe_, line, /*make_dirty=*/false, t);
+    /// counted against the hold.
+    Source load(std::uint64_t line) {
+      return fabric_->access_line(*stripe_, line, /*make_dirty=*/false);
     }
 
     /// Store with write-allocate: a miss reads the line from memory first
     /// (the paper's "read incurred by the hardware when writing").
-    Source store(std::uint64_t line, Traffic* t = nullptr) {
-      return fabric_->access_line(*stripe_, line, /*make_dirty=*/true, t);
+    Source store(std::uint64_t line) {
+      return fabric_->access_line(*stripe_, line, /*make_dirty=*/true);
     }
 
     /// dcbtst-style software prefetch: fetch into the slice (clean),
     /// reading from memory on a miss.  Returns where the line came from.
-    Source prefetch(std::uint64_t line, Traffic* t = nullptr) {
-      return load(line, t);
+    Source prefetch(std::uint64_t line) { return load(line); }
+
+    /// Streaming store that bypasses the cache: one full-line memory write.
+    void write_through(std::uint64_t line) {
+      fabric_->count_line(*stripe_, line, MemDir::Write);
+    }
+
+    /// Memory lines this hold has caused so far in direction `dir`.
+    std::uint64_t lines(MemDir dir) const {
+      std::uint64_t n = 0;
+      for (std::uint64_t m = stripe_->touched; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
+        if ((i & 1) == static_cast<int>(dir)) n += stripe_->lines[i];
+      }
+      return n;
     }
 
    private:
@@ -106,14 +126,14 @@ class L3Fabric {
   }
 
   /// Single accesses, each holding the stripe for one line.
-  Source load_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr) {
-    return hold(core).load(line, t);
+  Source load_line(std::uint32_t core, std::uint64_t line) {
+    return hold(core).load(line);
   }
-  Source store_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr) {
-    return hold(core).store(line, t);
+  Source store_line(std::uint32_t core, std::uint64_t line) {
+    return hold(core).store(line);
   }
-  Source prefetch_line(std::uint32_t core, std::uint64_t line, Traffic* t = nullptr) {
-    return hold(core).prefetch(line, t);
+  Source prefetch_line(std::uint32_t core, std::uint64_t line) {
+    return hold(core).prefetch(line);
   }
 
   /// Write back and drop every line held in `core`'s slice (its victim
@@ -130,21 +150,24 @@ class L3Fabric {
     return stripes_[core]->victim;
   }
 
-  std::uint64_t victim_recoveries() const {
-    return victim_recoveries_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t victim_retention_misses() const {
-    return victim_retention_misses_.load(std::memory_order_relaxed);
-  }
+  /// Lateral cast-outs recovered without memory traffic, across all cores.
+  std::uint64_t victim_recoveries() const;
+  /// Victim-store hits lost to the retention draw, across all cores.
+  std::uint64_t victim_retention_misses() const;
 
   /// Total slice-level lookups (hits + misses) across all cores, for the
   /// concurrency-stress conservation check.  Unsynchronized snapshot.
   std::uint64_t total_slice_lookups() const;
 
  private:
+  /// Most memory channels a socket may have: a stripe marks the channel and
+  /// direction pairs its hold has touched in one 64-bit mask.
+  static constexpr std::uint32_t kMaxChannels = 32;
+
   /// Per-core stripe: everything one core's accesses mutate, under one lock.
   /// Cache-line aligned with the caches held inline, so two cores' per-access
-  /// writes (hit/miss counts, retention events) never share a cache line.
+  /// writes (hit/miss counts, retention events, line counts) never share a
+  /// cache line.
   struct alignas(64) Stripe {
     Stripe(CacheLevel slice_cache, CacheLevel victim_cache)
         : slice(std::move(slice_cache)), victim(std::move(victim_cache)) {}
@@ -152,25 +175,38 @@ class L3Fabric {
     CacheLevel slice;
     CacheLevel victim;  ///< this core's lateral-cast-out share
     std::uint64_t retention_events = 0;  ///< per-core: order-independent across cores
+    /// Written under `mu` only (selfmon::detail::owner_add), read any time.
+    std::atomic<std::uint64_t> victim_recoveries{0};
+    std::atomic<std::uint64_t> victim_retention_misses{0};
+    /// Memory lines of the current hold, indexed channel * 2 + direction;
+    /// `touched` has bit i set iff lines[i] != 0.  Published and cleared
+    /// when the hold ends.
+    std::uint64_t touched = 0;
+    std::uint64_t lines[2 * kMaxChannels] = {};
   };
-
   /// Lock a stripe, counting the acquisition (and, if the stripe was
   /// already held, the contention) in selfmon.
   static std::unique_lock<std::mutex> lock_stripe(Stripe& stripe);
 
   /// One access; the caller holds `stripe`.
-  Source access_line(Stripe& stripe, std::uint64_t line, bool make_dirty,
-                     Traffic* t);
-  void cast_out(Stripe& stripe, std::uint64_t line, bool dirty, Traffic* t);
+  Source access_line(Stripe& stripe, std::uint64_t line, bool make_dirty);
+  void cast_out(Stripe& stripe, std::uint64_t line, bool dirty);
   bool retained(Stripe& stripe, std::uint64_t line);
+
+  /// Count one memory line against the current hold of `stripe`.
+  void count_line(Stripe& stripe, std::uint64_t line, MemDir dir) {
+    const std::uint32_t i = mem_.channel_of(line) * 2 + static_cast<std::uint32_t>(dir);
+    ++stripe.lines[i];
+    stripe.touched |= std::uint64_t{1} << i;
+  }
+  /// Publish the hold's line counts to the MemController and clear them.
+  void publish(Stripe& stripe);
 
   const MachineConfig& cfg_;
   MemController& mem_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::uint32_t active_cores_ = 1;
   std::uint64_t retention_threshold_;  ///< hash cutoff for deterministic retention
-  std::atomic<std::uint64_t> victim_recoveries_{0};
-  std::atomic<std::uint64_t> victim_retention_misses_{0};
 };
 
 }  // namespace papisim::sim

@@ -13,7 +13,7 @@ Machine::Machine(MachineConfig cfg) : cfg_(std::move(cfg)) {
     sock->engines.reserve(cfg_.cores_per_socket);
     for (std::uint32_t c = 0; c < cfg_.cores_per_socket; ++c) {
       sock->engines.push_back(std::make_unique<AccessEngine>(
-          cfg_, c, *sock->l3, *sock->mem, clock_, *sock->noise));
+          cfg_, c, *sock->l3, clock_, *sock->noise));
     }
     sockets_.push_back(std::move(sock));
   }

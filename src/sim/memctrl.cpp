@@ -23,13 +23,15 @@ MemController::MemController(std::uint32_t channels, std::uint32_t line_bytes,
 }
 
 void MemController::add_spread(std::uint64_t bytes, MemDir dir) {
-  // Distribute in line_bytes_ granules round-robin, remainder to one channel.
+  // An even share on every channel (kept once, added on read), remainder to
+  // one channel chosen round-robin.
   const std::uint64_t per_channel = bytes / channels_;
   const std::uint64_t rem = bytes - per_channel * channels_;
-  for (std::uint32_t ch = 0; ch < channels_; ++ch) {
-    counter(ch, dir).fetch_add(per_channel, std::memory_order_relaxed);
-    op_counter(ch, dir).fetch_add((per_channel + line_bytes_ - 1) / line_bytes_,
-                                  std::memory_order_relaxed);
+  const auto d = static_cast<std::uint32_t>(dir);
+  if (per_channel != 0) {
+    spread_bytes_[d].fetch_add(per_channel, std::memory_order_relaxed);
+    spread_ops_[d].fetch_add((per_channel + line_bytes_ - 1) / line_bytes_,
+                             std::memory_order_relaxed);
   }
   if (rem != 0) {
     const std::uint32_t cur =

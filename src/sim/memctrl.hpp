@@ -17,10 +17,16 @@ enum class MemDir : std::uint8_t { Read = 0, Write = 1 };
 /// monotonically increasing READ/WRITE byte counters.
 ///
 /// Counters are atomics because the PCP daemon (PMCD) reads them from its own
-/// thread and the parallel replay engine increments them from one worker per
-/// simulated core.  All increments are commutative relaxed adds, so per-channel
-/// totals are independent of worker interleaving -- the property the
-/// serial-vs-parallel replay equivalence test pins down.
+/// thread and the parallel replay engine publishes to them from one worker
+/// per simulated core.  All increments are commutative relaxed adds, so
+/// per-channel totals are independent of worker interleaving -- the property
+/// the serial-vs-parallel replay equivalence test pins down.  The replay path
+/// does not add per line: L3Fabric counts a hold's lines per channel in the
+/// core's stripe and publishes them through add_lines() when the hold ends.
+///
+/// add_spread()'s even per-channel share is kept once per direction
+/// (spread_bytes_/spread_ops_) and added to every channel on read, so a
+/// spread costs O(1) atomics however many channels there are.
 class MemController {
  public:
   MemController(std::uint32_t channels, std::uint32_t line_bytes,
@@ -37,10 +43,12 @@ class MemController {
   }
 
   /// Account one full-line transaction for `line`.
-  void add_line(std::uint64_t line, MemDir dir) {
-    const std::uint32_t ch = channel_of(line);
-    counter(ch, dir).fetch_add(line_bytes_, std::memory_order_relaxed);
-    op_counter(ch, dir).fetch_add(1, std::memory_order_relaxed);
+  void add_line(std::uint64_t line, MemDir dir) { add_lines(channel_of(line), dir, 1); }
+
+  /// Account `n` full-line transactions on `channel`.
+  void add_lines(std::uint32_t channel, MemDir dir, std::uint64_t n) {
+    counter(channel, dir).fetch_add(n * line_bytes_, std::memory_order_relaxed);
+    op_counter(channel, dir).fetch_add(n, std::memory_order_relaxed);
   }
 
   /// Account `bytes` of traffic spread round-robin over all channels
@@ -54,13 +62,15 @@ class MemController {
   }
 
   std::uint64_t channel_bytes(std::uint32_t channel, MemDir dir) const {
-    return counter(channel, dir).load(std::memory_order_relaxed);
+    return counter(channel, dir).load(std::memory_order_relaxed) +
+           spread(spread_bytes_, dir);
   }
 
-  /// Transaction (request) count per channel; spread traffic is accounted
-  /// as ceil(bytes / line) requests.
+  /// Transaction (request) count per channel; each channel's even share of
+  /// a spread counts as ceil(share / line) requests, a remainder as one.
   std::uint64_t channel_ops(std::uint32_t channel, MemDir dir) const {
-    return op_counter(channel, dir).load(std::memory_order_relaxed);
+    return op_counter(channel, dir).load(std::memory_order_relaxed) +
+           spread(spread_ops_, dir);
   }
 
   std::uint64_t total_bytes(MemDir dir) const;
@@ -84,6 +94,10 @@ class MemController {
   const std::atomic<std::uint64_t>& op_counter(std::uint32_t ch, MemDir dir) const {
     return op_counters_[ch * 2 + static_cast<std::uint32_t>(dir)];
   }
+  static std::uint64_t spread(const std::array<std::atomic<std::uint64_t>, 2>& cells,
+                              MemDir dir) {
+    return cells[static_cast<std::uint32_t>(dir)].load(std::memory_order_relaxed);
+  }
 
   std::uint32_t channels_;
   std::uint32_t line_bytes_;
@@ -92,6 +106,8 @@ class MemController {
   bool pow2_channels_ = true;
   std::uint32_t channel_mask_ = 0;
   std::atomic<std::uint32_t> spread_cursor_{0};
+  std::array<std::atomic<std::uint64_t>, 2> spread_bytes_{};  ///< per-channel share
+  std::array<std::atomic<std::uint64_t>, 2> spread_ops_{};
   std::vector<std::atomic<std::uint64_t>> counters_;
   std::vector<std::atomic<std::uint64_t>> op_counters_;
 };

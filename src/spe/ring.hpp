@@ -126,11 +126,12 @@ class SampleRing {
 
   /// Consumer-only.  Appends everything currently published, in FIFO order
   /// (wraparound preserved), and frees the slots.  Returns the count.
+  /// `out` grows geometrically (no exact reserve), so many small drains into
+  /// one vector stay linear overall.
   std::size_t pop_all(std::vector<Sample>& out) {
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::size_t n = static_cast<std::size_t>(head - tail);
-    out.reserve(out.size() + n);
     for (; tail != head; ++tail) out.push_back(slots_[tail & mask_]);
     tail_.store(tail, std::memory_order_release);
     return n;

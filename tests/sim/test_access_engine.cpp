@@ -66,6 +66,44 @@ TEST_F(EngineFixture, ReplayTakesTheStripeOncePerLoopAndPerScalarCall) {
   EXPECT_EQ(count(selfmon::CounterId::L3StripeContention) - cont0, 0u);
 }
 
+TEST_F(EngineFixture, MissHeavyReplayCountsChannelsLikeLineByLineAccesses) {
+  // Sequential loads and strided (allocating) stores over 5x the slice, with
+  // no victim capacity: almost every touch misses, and the dirty store lines
+  // are written back as they are evicted.  The loop's memory lines are
+  // counted in its stripe hold and published when the loop ends; the
+  // controller must then hold exactly what one load_line/store_line per
+  // touch gives, channel by channel.
+  constexpr std::uint64_t kIters = 40000;
+  Machine line_by_line(test_config());
+  line_by_line.set_noise_enabled(false);
+  for (Machine* m : {machine.get(), &line_by_line}) m->set_active_cores(0, 4);
+  const std::uint64_t in = alloc(kIters * 64), out = alloc(kIters * 4096);
+
+  LoopDesc loop;
+  loop.streams = {{in, 64, 8, AccessKind::Load}, {out, 4096, 8, AccessKind::Store}};
+  loop.iterations = kIters;
+  const LoopStats st = eng().execute(loop);
+  for (std::uint64_t i = 0; i < kIters; ++i) {
+    line_by_line.l3(0).load_line(0, (in + i * 64) / 64);
+    line_by_line.l3(0).store_line(0, (out + i * 4096) / 64);
+  }
+
+  const MemController& replayed = machine->memctrl(0);
+  const MemController& single = line_by_line.memctrl(0);
+  EXPECT_EQ(st.bypassed_store_lines, 0u);
+  EXPECT_LT(st.l3_hits, st.line_touches / 100);
+  EXPECT_GT(st.mem_write_bytes, 0u);
+  EXPECT_EQ(st.mem_read_bytes, replayed.total_bytes(MemDir::Read));
+  EXPECT_EQ(st.mem_write_bytes, replayed.total_bytes(MemDir::Write));
+  EXPECT_EQ(replayed.snapshot(), single.snapshot());
+  for (std::uint32_t ch = 0; ch < replayed.channels(); ++ch) {
+    for (const MemDir dir : {MemDir::Read, MemDir::Write}) {
+      EXPECT_EQ(replayed.channel_ops(ch, dir), single.channel_ops(ch, dir))
+          << "ch " << ch;
+    }
+  }
+}
+
 TEST_F(EngineFixture, SoftwarePrefetchForcesStoreTargetToBeRead) {
   const std::uint64_t in = alloc(kN * 8), out = alloc(kN * 8);
   LoopDesc loop;

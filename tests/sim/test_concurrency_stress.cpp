@@ -9,7 +9,7 @@
 //
 //   * every access hits exactly one slice lookup,
 //   * memory traffic observed by the controller == the sum of the per-thread
-//     Traffic out-params (no lost or double-counted lines),
+//     StripeHandle line totals (no lost or double-counted lines),
 //   * victim recoveries / retention misses never exceed what the miss
 //     counts allow, and
 //   * flush_all leaves every slice and victim partition empty.
@@ -40,20 +40,41 @@ MachineConfig stress_config() {
 }
 
 struct ThreadTally {
-  L3Fabric::Traffic traffic;
+  std::uint64_t read_lines = 0;
+  std::uint64_t write_lines = 0;
   std::uint64_t ops = 0;
+
+  /// Add a hold's memory lines; call just before the handle is released.
+  void add(const L3Fabric::StripeHandle& stripe) {
+    read_lines += stripe.lines(MemDir::Read);
+    write_lines += stripe.lines(MemDir::Write);
+  }
 };
+
+void access(L3Fabric::StripeHandle& stripe, std::uint64_t i, std::uint64_t line) {
+  switch (i % 3) {
+    case 0:
+      stripe.load(line);
+      break;
+    case 1:
+      stripe.store(line);
+      break;
+    default:
+      stripe.prefetch(line);
+      break;
+  }
+}
 
 /// The conservation laws every interleaving must keep, then an empty fabric
 /// after flush_all.
 void expect_conserved(const MachineConfig& cfg, const MemController& mem,
                       L3Fabric& l3, const std::vector<ThreadTally>& tallies,
                       std::uint64_t expected_ops) {
-  L3Fabric::Traffic total;
+  ThreadTally total;
   std::uint64_t total_ops = 0;
   for (const ThreadTally& tally : tallies) {
-    total.read_lines += tally.traffic.read_lines;
-    total.write_lines += tally.traffic.write_lines;
+    total.read_lines += tally.read_lines;
+    total.write_lines += tally.write_lines;
     total_ops += tally.ops;
   }
 
@@ -66,8 +87,8 @@ void expect_conserved(const MachineConfig& cfg, const MemController& mem,
   EXPECT_EQ(mem.total_bytes(MemDir::Read), total.read_lines * cfg.line_bytes);
   EXPECT_EQ(mem.total_bytes(MemDir::Write), total.write_lines * cfg.line_bytes);
 
-  // Channel totals sum back to the direction totals (spread cursor is atomic,
-  // so no increment can be lost to a torn update).
+  // Channel totals sum back to the direction totals (each hold publishes
+  // every channel it touched, so no line is lost between channels).
   std::uint64_t chan_read = 0;
   std::uint64_t chan_write = 0;
   for (std::uint32_t ch = 0; ch < cfg.mem_channels; ++ch) {
@@ -108,17 +129,9 @@ TEST(ConcurrencyStress, EightThreadsConserveTrafficAndLookups) {
         ThreadTally& tally = tallies[t];
         for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
           const std::uint64_t line = base + (i * 7 + t) % 4096;
-          switch (i % 3) {
-            case 0:
-              l3.load_line(core, line, &tally.traffic);
-              break;
-            case 1:
-              l3.store_line(core, line, &tally.traffic);
-              break;
-            default:
-              l3.prefetch_line(core, line, &tally.traffic);
-              break;
-          }
+          L3Fabric::StripeHandle stripe = l3.hold(core);
+          access(stripe, i, line);
+          tally.add(stripe);
           ++tally.ops;
         }
       });
@@ -151,20 +164,10 @@ TEST(ConcurrencyStress, HandleBatchesConserveTrafficAndLookups) {
           L3Fabric::StripeHandle stripe = l3.hold(core);
           for (std::uint64_t j = 0; j < kBatch; ++j) {
             const std::uint64_t i = b * kBatch + j;
-            const std::uint64_t line = base + (i * 7 + t) % 4096;
-            switch (i % 3) {
-              case 0:
-                stripe.load(line, &tally.traffic);
-                break;
-              case 1:
-                stripe.store(line, &tally.traffic);
-                break;
-              default:
-                stripe.prefetch(line, &tally.traffic);
-                break;
-            }
+            access(stripe, i, base + (i * 7 + t) % 4096);
             ++tally.ops;
           }
+          tally.add(stripe);
         }
       });
     }

@@ -153,6 +153,104 @@ TEST(L3Fabric, LateralCastoutDisabledByConfig) {
   EXPECT_EQ(f.mem.total_bytes(MemDir::Read), reads_cold + 2 * slice_lines * 64);
 }
 
+TEST(L3Fabric, HoldCountsItsLinesAndPublishesThemOnRelease) {
+  Fixture f;
+  f.l3.set_active_cores(4);  // no victim capacity: every miss is a read
+  const std::uint64_t slice_lines = f.cfg.l3_slice_bytes / f.cfg.line_bytes;
+  std::uint64_t evicted_dirty = 0;
+  {
+    L3Fabric::StripeHandle stripe = f.l3.hold(0);
+    for (std::uint64_t l = 0; l < slice_lines; ++l) stripe.store(l);
+    for (std::uint64_t l = slice_lines; l < 3 * slice_lines; ++l) stripe.load(l);
+    stripe.write_through(1 << 20);
+    EXPECT_EQ(stripe.lines(MemDir::Read), 3 * slice_lines);
+    evicted_dirty = stripe.lines(MemDir::Write) - 1;
+    EXPECT_GT(evicted_dirty, 0u);
+    // Nothing reaches the controller while the stripe is held.
+    EXPECT_EQ(f.mem.total_ops(MemDir::Read), 0u);
+    EXPECT_EQ(f.mem.total_ops(MemDir::Write), 0u);
+  }
+  EXPECT_EQ(f.mem.total_ops(MemDir::Read), 3 * slice_lines);
+  EXPECT_EQ(f.mem.total_bytes(MemDir::Read), 3 * slice_lines * 64);
+  EXPECT_EQ(f.mem.total_ops(MemDir::Write), evicted_dirty + 1);
+  EXPECT_GT(f.mem.channel_ops(f.mem.channel_of(1 << 20), MemDir::Write), 0u);
+
+  // The next hold starts from zero: a hit publishes nothing, and one miss
+  // publishes exactly one read.
+  const auto before = f.mem.snapshot();
+  {
+    L3Fabric::StripeHandle stripe = f.l3.hold(0);
+    EXPECT_EQ(stripe.load(3 * slice_lines - 1), L3Fabric::Source::L3Hit);
+    EXPECT_EQ(stripe.lines(MemDir::Read), 0u);
+    EXPECT_EQ(stripe.lines(MemDir::Write), 0u);
+  }
+  EXPECT_EQ(f.mem.snapshot(), before);
+  {
+    L3Fabric::StripeHandle stripe = f.l3.hold(0);
+    EXPECT_EQ(stripe.load(10 * slice_lines), L3Fabric::Source::Memory);
+    EXPECT_EQ(stripe.lines(MemDir::Read), 1u);
+  }
+  EXPECT_EQ(f.mem.total_ops(MemDir::Read), 3 * slice_lines + 1);
+
+  // Every stored line is written back exactly once, by eviction or flush.
+  f.l3.flush_core(0);
+  EXPECT_EQ(f.mem.total_bytes(MemDir::Write), (slice_lines + 1) * 64);
+}
+
+TEST(L3Fabric, HoldCountsEachChannelLikeSingleLineAccesses) {
+  Fixture held, single;
+  held.l3.set_active_cores(4);
+  single.l3.set_active_cores(4);
+  {
+    L3Fabric::StripeHandle stripe = held.l3.hold(2);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      const std::uint64_t line = i * 37 % 301;
+      if (i % 3 == 0) {
+        stripe.store(line);
+      } else {
+        stripe.load(line);
+      }
+    }
+  }
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const std::uint64_t line = i * 37 % 301;
+    if (i % 3 == 0) {
+      single.l3.store_line(2, line);
+    } else {
+      single.l3.load_line(2, line);
+    }
+  }
+  EXPECT_EQ(held.mem.snapshot(), single.mem.snapshot());
+  for (std::uint32_t ch = 0; ch < held.mem.channels(); ++ch) {
+    for (const MemDir dir : {MemDir::Read, MemDir::Write}) {
+      EXPECT_EQ(held.mem.channel_ops(ch, dir), single.mem.channel_ops(ch, dir));
+    }
+  }
+}
+
+TEST(L3Fabric, VictimCountersSumOverCores) {
+  Fixture f(small_config(/*retention=*/0.5));
+  f.l3.set_active_cores(2);
+  const std::uint64_t slice_lines = f.cfg.l3_slice_bytes / f.cfg.line_bytes;
+  std::uint64_t victim_hits = 0;
+  for (std::uint32_t core = 0; core < 2; ++core) {
+    const std::uint64_t base = std::uint64_t{core} << 32;
+    for (std::uint64_t l = 0; l < 2 * slice_lines; ++l) f.l3.load_line(core, base + l);
+    for (std::uint64_t l = 0; l < 2 * slice_lines; ++l) {
+      if (f.l3.load_line(core, base + l) == L3Fabric::Source::VictimHit) ++victim_hits;
+    }
+  }
+  EXPECT_GT(victim_hits, 0u);
+  EXPECT_GT(f.l3.victim_retention_misses(), 0u);
+  EXPECT_EQ(f.l3.victim_recoveries(), victim_hits);
+}
+
+TEST(L3Fabric, RejectsMoreChannelsThanAStripeCanTrack) {
+  MachineConfig cfg = small_config();
+  MemController mem(33, cfg.line_bytes, 2);
+  EXPECT_THROW({ L3Fabric fabric(cfg, mem); }, std::invalid_argument);
+}
+
 TEST(L3Fabric, SetActiveCoresValidatesRange) {
   Fixture f;
   EXPECT_THROW(f.l3.set_active_cores(0), std::invalid_argument);

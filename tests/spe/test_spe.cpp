@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -60,6 +61,26 @@ TEST(SampleRing, WraparoundPreservesFifoOrder) {
   }
   ASSERT_EQ(out.size(), next);
   for (std::uint64_t i = 0; i < next; ++i) EXPECT_EQ(out[i], make_sample(i));
+}
+
+TEST(SampleRing, ManySmallDrainsIntoOneVectorReallocateLogarithmically) {
+  // A profile drains once per sampler tick into one growing vector; an
+  // exact reserve per drain would copy the whole vector every time.
+  constexpr std::size_t kDrains = 2000;
+  SampleRing ring(4);
+  std::vector<Sample> out;
+  std::size_t reallocations = 0;
+  const Sample* data = out.data();
+  for (std::size_t i = 0; i < kDrains; ++i) {
+    ASSERT_TRUE(ring.try_push(make_sample(i)));
+    ASSERT_EQ(ring.pop_all(out), 1u);
+    if (out.data() != data) {
+      ++reallocations;
+      data = out.data();
+    }
+  }
+  ASSERT_EQ(out.size(), kDrains);
+  EXPECT_LE(reallocations, std::bit_width(kDrains) + 2);
 }
 
 TEST(SampleRing, CapacityRoundsUpToPowerOfTwo) {
