@@ -20,10 +20,11 @@
 //                      (GEMM through the full PCP stack, a copy loop with
 //                      noise off and on, an S1CF strided-store re-sort) and
 //                      print the exact simulated byte and op counts of every
-//                      memory channel.  The compile-out CI parity legs diff
-//                      this output against the default build: no
-//                      instrumentation layer may perturb the simulated
-//                      traffic, so the lines are bit-identical.
+//                      memory channel.  CI diffs this output, from the
+//                      default build and from each compile-out build,
+//                      against the checked-in bench/traffic_fingerprint.txt:
+//                      neither a commit nor an instrumentation layer may
+//                      perturb the simulated traffic unnoticed.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -649,9 +650,9 @@ std::uint64_t copy_loop_leg(sim::Machine& m, bool noise) {
 /// Everything printed is a deterministic function of the simulation (fixed
 /// sizes/reps/seeds, serial replay; the noise leg's jitter stream is seeded)
 /// -- no wall-clock times, no rates -- so two builds that simulate
-/// identically print identical bytes.  Used by CI to prove the compile-out
-/// layers (PAPISIM_TRACE, PAPISIM_SPE, PAPISIM_SELFMON) never perturb
-/// traffic.
+/// identically print identical bytes.  CI diffs it against the checked-in
+/// bench/traffic_fingerprint.txt in the default build and with each
+/// compile-out layer (PAPISIM_TRACE, PAPISIM_SPE, PAPISIM_SELFMON) off.
 int emit_traffic_fingerprint() {
   std::cout << "traffic-fingerprint v2\n";
   for (const std::uint64_t n :

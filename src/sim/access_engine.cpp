@@ -1,6 +1,7 @@
 #include "sim/access_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace papisim::sim {
@@ -24,9 +25,14 @@ AccessEngine::AccessEngine(const MachineConfig& cfg, std::uint32_t core,
                            L3Fabric& l3, SimClock& clock, NoiseModel& noise)
     : cfg_(cfg),
       core_(core),
+      line_shift_(static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes))),
       l3_(l3),
       clock_(clock),
-      noise_(noise) {}
+      noise_(noise) {
+  if (!std::has_single_bit(cfg.line_bytes)) {
+    throw std::invalid_argument("AccessEngine: line size must be a power of two");
+  }
+}
 
 void AccessEngine::account(LoopStats& s, L3Fabric::Source src) {
   switch (src) {
@@ -48,23 +54,25 @@ spe::HitLevel spe_level(L3Fabric::Source src) {
 }
 
 /// First iteration > `cur_iter` at which the affine stream touches a line
-/// different from `cur_line`, or UINT64_MAX for stride 0.
+/// different from `cur_line`, or UINT64_MAX for stride 0.  Lines are
+/// 2^line_shift bytes.
 std::uint64_t next_line_iter(std::uint64_t base, std::int64_t stride,
                              std::uint64_t cur_iter, std::uint64_t cur_line,
-                             std::uint32_t line_bytes) {
+                             std::uint32_t line_shift) {
   if (stride == 0) return ~0ull;
   // Fast path: a stride of at least one line touches a new line every
   // iteration (the dominant case for strided kernels; avoids a division).
+  const std::int64_t line_bytes = std::int64_t{1} << line_shift;
   if (stride >= line_bytes || -stride >= line_bytes) return cur_iter + 1;
   if (stride > 0) {
     // Smallest i with base + i*stride >= (cur_line + 1) * line_bytes.
-    const std::uint64_t boundary = (cur_line + 1) * line_bytes;
+    const std::uint64_t boundary = (cur_line + 1) << line_shift;
     const std::uint64_t s = static_cast<std::uint64_t>(stride);
     if (base >= boundary) return cur_iter + 1;  // already past (elem straddle)
     return (boundary - base + s - 1) / s;
   }
   // Negative stride: smallest i with base + i*stride < cur_line * line_bytes.
-  const std::uint64_t boundary = cur_line * line_bytes;  // first byte of line
+  const std::uint64_t boundary = cur_line << line_shift;  // first byte of line
   const std::uint64_t s = static_cast<std::uint64_t>(-stride);
   if (base < boundary) return cur_iter + 1;
   // base - i*s <= boundary - 1  =>  i >= (base - boundary + 1) / s
@@ -139,6 +147,7 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
   // Per-stream replay cursors: the iteration of the next new-line touch.
   std::uint64_t next_iter[16];
   for (std::size_t k = 0; k < n; ++k) next_iter[k] = 0;
+  const std::uint64_t strided_from = std::uint64_t{cfg_.stream_detect_threshold} + 1;
 
   {
     // One stripe acquisition for the whole loop: one thread replays each
@@ -164,9 +173,9 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
       const std::uint64_t addr =
           static_cast<std::uint64_t>(static_cast<std::int64_t>(sd.base) +
                                      static_cast<std::int64_t>(imin) * sd.stride);
-      const std::uint64_t touched_line = addr / cfg_.line_bytes;
+      const std::uint64_t touched_line = line_of(addr);
 
-      if (strided_capable[k] && ++touch_count[k] == cfg_.stream_detect_threshold + 1) {
+      if (strided_capable[k] && ++touch_count[k] == strided_from) {
         ++strided_active;
       }
       ++stats.line_touches;
@@ -211,8 +220,7 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
           break;
         case kShift: {
           // Iterations until the next line boundary: ceil(remaining / stride).
-          const std::uint64_t remaining =
-              (touched_line + 1) * cfg_.line_bytes - addr;
+          const std::uint64_t remaining = bytes_of(touched_line + 1) - addr;
           next_iter[k] =
               imin + ((remaining + (std::uint64_t{1} << stride_shift[k]) - 1) >>
                       stride_shift[k]);
@@ -220,11 +228,11 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
         }
         default:
           next_iter[k] =
-              next_line_iter(sd.base, sd.stride, imin, touched_line, cfg_.line_bytes);
+              next_line_iter(sd.base, sd.stride, imin, touched_line, line_shift_);
       }
     }
-    stats.mem_read_bytes = stripe.lines(MemDir::Read) * cfg_.line_bytes;
-    stats.mem_write_bytes = stripe.lines(MemDir::Write) * cfg_.line_bytes;
+    stats.mem_read_bytes = bytes_of(stripe.lines(MemDir::Read));
+    stats.mem_write_bytes = bytes_of(stripe.lines(MemDir::Write));
   }  // the stripe is released here, publishing the loop's memory lines
 
   stats.flops = static_cast<double>(loop.iterations) * loop.flops_per_iter;
@@ -264,8 +272,8 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
 }
 
 void AccessEngine::load(std::uint64_t addr, std::uint32_t bytes) {
-  const std::uint64_t first = addr / cfg_.line_bytes;
-  const std::uint64_t last = (addr + bytes - 1) / cfg_.line_bytes;
+  const std::uint64_t first = line_of(addr);
+  const std::uint64_t last = line_of(addr + bytes - 1);
   spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
   const std::uint64_t spe_t_ns = spe != nullptr ? spe_time_ns() : 0;
   L3Fabric::StripeHandle stripe = l3_.hold(core_);
@@ -275,17 +283,17 @@ void AccessEngine::load(std::uint64_t addr, std::uint32_t bytes) {
     ++scalar_stats_.line_touches;
     if constexpr (spe::kEnabled) {
       if (spe != nullptr) {
-        spe->on_access(std::max(addr, line * cfg_.line_bytes),
+        spe->on_access(std::max(addr, bytes_of(line)),
                        spe::AccessKind::Load, spe_level(src), 0, spe_t_ns);
       }
     }
   }
-  scalar_stats_.mem_read_bytes += stripe.lines(MemDir::Read) * cfg_.line_bytes;
+  scalar_stats_.mem_read_bytes += bytes_of(stripe.lines(MemDir::Read));
 }
 
 void AccessEngine::store(std::uint64_t addr, std::uint32_t bytes) {
-  const std::uint64_t first = addr / cfg_.line_bytes;
-  const std::uint64_t last = (addr + bytes - 1) / cfg_.line_bytes;
+  const std::uint64_t first = line_of(addr);
+  const std::uint64_t last = line_of(addr + bytes - 1);
   spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
   const std::uint64_t spe_t_ns = spe != nullptr ? spe_time_ns() : 0;
   L3Fabric::StripeHandle stripe = l3_.hold(core_);
@@ -296,17 +304,17 @@ void AccessEngine::store(std::uint64_t addr, std::uint32_t bytes) {
     ++scalar_stats_.allocated_store_lines;
     if constexpr (spe::kEnabled) {
       if (spe != nullptr) {
-        spe->on_access(std::max(addr, line * cfg_.line_bytes),
+        spe->on_access(std::max(addr, bytes_of(line)),
                        spe::AccessKind::Store, spe_level(src), 0, spe_t_ns);
       }
     }
   }
-  scalar_stats_.mem_read_bytes += stripe.lines(MemDir::Read) * cfg_.line_bytes;
-  scalar_stats_.mem_write_bytes += stripe.lines(MemDir::Write) * cfg_.line_bytes;
+  scalar_stats_.mem_read_bytes += bytes_of(stripe.lines(MemDir::Read));
+  scalar_stats_.mem_write_bytes += bytes_of(stripe.lines(MemDir::Write));
 }
 
 void AccessEngine::prefetch(std::uint64_t addr) {
-  account(scalar_stats_, l3_.prefetch_line(core_, addr / cfg_.line_bytes));
+  account(scalar_stats_, l3_.prefetch_line(core_, line_of(addr)));
   ++scalar_stats_.line_touches;
 }
 

@@ -101,6 +101,8 @@ struct CoreCounters {
 /// counters on every replay, and two engines must never share a line.
 class alignas(64) AccessEngine {
  public:
+  /// Throws std::invalid_argument unless cfg.line_bytes is a power of two
+  /// (line numbers are computed by shifting).
   AccessEngine(const MachineConfig& cfg, std::uint32_t core, L3Fabric& l3,
                SimClock& clock, NoiseModel& noise);
 
@@ -147,11 +149,15 @@ class alignas(64) AccessEngine {
   spe::CoreSampler* spe() const { return spe_; }
 
  private:
-  std::uint64_t line_of(std::uint64_t addr) const { return addr / cfg_.line_bytes; }
+  std::uint64_t line_of(std::uint64_t addr) const { return addr >> line_shift_; }
+  /// Bytes in `lines` lines, which is also the first address of line `lines`.
+  std::uint64_t bytes_of(std::uint64_t lines) const { return lines << line_shift_; }
   void account(LoopStats& s, L3Fabric::Source src);
 
   const MachineConfig& cfg_;
   std::uint32_t core_;
+  /// log2(cfg_.line_bytes): line <-> address conversions shift, never divide.
+  std::uint32_t line_shift_;
   L3Fabric& l3_;
   SimClock& clock_;
   NoiseModel& noise_;

@@ -1,16 +1,12 @@
 #include "sim/cache.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace papisim::sim {
 
 CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t associativity,
                        std::uint32_t line_bytes, bool hashed_sets)
-    : size_bytes_(size_bytes),
-      assoc_(associativity),
-      line_bytes_(line_bytes),
-      hashed_sets_(hashed_sets) {
+    : size_bytes_(size_bytes), assoc_(associativity), hashed_sets_(hashed_sets) {
   if (line_bytes == 0 || associativity == 0) {
     throw std::invalid_argument("CacheLevel: line size and associativity must be > 0");
   }
@@ -26,46 +22,14 @@ CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t associativity,
   if (!pow2_sets_) fastmod_m_ = ~0ull / sets_ + 1;
 }
 
-// LRU is kept as a physical recency order within each set (way 0 = MRU):
-// hot lines hit at shallow scan depth, which dominates the simulator's
-// hottest path; the shuffle on a hit moves at most `depth` words.  A word
-// matches `line` iff (word | 1) == (line << 1 | 1); the empty word kInvalid
-// matches no line below kLineLimit.
-
-CacheLevel::Result CacheLevel::access(std::uint64_t line, bool make_dirty) {
-  return access_impl(line, make_dirty, false);
-}
-
-CacheLevel::Result CacheLevel::access_impl(std::uint64_t line, bool make_dirty,
-                                           bool /*is_insert*/) {
-  assert(line < kLineLimit);
+CacheLevel::Result CacheLevel::fill(std::size_t base, std::uint64_t line, bool dirty) {
+  ++misses_;
   Result res;
-  if (sets_ == 0) {
-    ++misses_;
-    return res;  // zero capacity: nothing is retained
-  }
+  if (sets_ == 0) return res;  // zero capacity: nothing is retained
   if (tags_.empty()) [[unlikely]] {
     tags_.assign(static_cast<std::size_t>(sets_) * assoc_, kInvalid);
   }
-  std::uint64_t* tags =
-      tags_.data() + static_cast<std::size_t>(set_index(line)) * assoc_;
-  const std::uint64_t key = (line << 1) | 1;
-  const std::uint64_t dirty = make_dirty ? 1 : 0;
-
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if ((tags[w] | 1) == key) {
-      // Hit: move to MRU position, merging dirty state.
-      const std::uint64_t word = tags[w] | dirty;
-      for (std::uint32_t j = w; j > 0; --j) tags[j] = tags[j - 1];
-      tags[0] = word;
-      ++hits_;
-      res.hit = true;
-      return res;
-    }
-  }
-
-  // Miss: evict the LRU way, insert at MRU.
-  ++misses_;
+  std::uint64_t* const tags = tags_.data() + base;
   const std::uint32_t lru = assoc_ - 1;
   if (tags[lru] != kInvalid) {
     res.evicted = true;
@@ -75,14 +39,13 @@ CacheLevel::Result CacheLevel::access_impl(std::uint64_t line, bool make_dirty,
     ++valid_count_;
   }
   for (std::uint32_t j = lru; j > 0; --j) tags[j] = tags[j - 1];
-  tags[0] = (line << 1) | dirty;
+  tags[0] = (line << 1) | std::uint64_t{dirty};
   return res;
 }
 
 bool CacheLevel::contains(std::uint64_t line) const {
   if (valid_count_ == 0) return false;
-  const std::uint64_t* tags =
-      tags_.data() + static_cast<std::size_t>(set_index(line)) * assoc_;
+  const std::uint64_t* tags = tags_.data() + set_base(line);
   const std::uint64_t key = (line << 1) | 1;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
     if ((tags[w] | 1) == key) return true;
@@ -93,8 +56,7 @@ bool CacheLevel::contains(std::uint64_t line) const {
 CacheLevel::Invalidated CacheLevel::invalidate(std::uint64_t line) {
   Invalidated out;
   if (valid_count_ == 0) return out;
-  std::uint64_t* tags =
-      tags_.data() + static_cast<std::size_t>(set_index(line)) * assoc_;
+  std::uint64_t* tags = tags_.data() + set_base(line);
   const std::uint64_t key = (line << 1) | 1;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
     if ((tags[w] | 1) == key) {

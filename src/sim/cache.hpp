@@ -1,6 +1,7 @@
 // Set-associative, write-back LRU cache model operating on line numbers.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -16,6 +17,12 @@ namespace papisim::sim {
 /// hit or fill shifts a single array of at most associativity (<= 20) words.
 /// Line numbers must therefore stay below kLineLimit = 2^63 - 1 (the
 /// all-ones word marks an empty way); a debug assertion checks it.
+///
+/// Hit path inline, miss path out of line: access() is defined here so the
+/// replay loop resolves a hit -- set index, tag scan, MRU shuffle, dirty
+/// merge -- with no function call.  Everything a miss does (first-fill
+/// allocation, LRU eviction, the valid-line count) lives in one out-of-line
+/// routine, fill(), which insert() reaches through access() too.
 ///
 /// Storage is allocated on the first fill (access or insert).  A cache that
 /// never holds a line -- an idle core's slice, an unused victim partition --
@@ -45,14 +52,37 @@ class CacheLevel {
   };
 
   /// Lookup with fill-on-miss; `make_dirty` marks the (resulting) line dirty.
-  Result access(std::uint64_t line, bool make_dirty);
+  ///
+  /// LRU is a physical recency order within each set (way 0 = MRU): hot
+  /// lines hit at shallow scan depth, and the shuffle on a hit moves at most
+  /// `depth` words.  A word matches `line` iff (word | 1) == (line << 1 | 1);
+  /// the empty word kInvalid matches no line below kLineLimit.  With no
+  /// valid line nothing can hit, which also covers the never-filled cache.
+  Result access(std::uint64_t line, bool make_dirty) {
+    assert(line < kLineLimit);
+    const std::size_t base = set_base(line);
+    if (valid_count_ != 0) {
+      std::uint64_t* const tags = tags_.data() + base;
+      const std::uint64_t key = (line << 1) | 1;
+      for (std::uint32_t w = 0; w < assoc_; ++w) {
+        if ((tags[w] | 1) == key) {
+          const std::uint64_t word = tags[w] | std::uint64_t{make_dirty};
+          for (std::uint32_t j = w; j > 0; --j) tags[j] = tags[j - 1];
+          tags[0] = word;
+          ++hits_;
+          return Result{.hit = true};
+        }
+      }
+    }
+    return fill(base, line, make_dirty);
+  }
 
   /// Lookup without fill or replacement-state change.
   bool contains(std::uint64_t line) const;
 
-  /// Fill a line without lookup semantics (used for cast-out insertion).
-  /// Equivalent to access() for eviction behaviour.
-  Result insert(std::uint64_t line, bool dirty) { return access_impl(line, dirty, true); }
+  /// Fill a line (cast-out insertion).  Same semantics as access(): a line
+  /// already present is refreshed to MRU with its dirty bit merged.
+  Result insert(std::uint64_t line, bool dirty) { return access(line, dirty); }
 
   /// Remove a line if present; returns {was_present, was_dirty}.
   struct Invalidated { bool present = false; bool dirty = false; };
@@ -67,33 +97,53 @@ class CacheLevel {
   std::uint64_t capacity_lines() const { return static_cast<std::uint64_t>(sets_) * assoc_; }
   std::uint64_t valid_lines() const { return valid_count_; }
 
+  /// The set `line` maps to in a cache of `sets` > 0 sets -- the mapping
+  /// every instance applies, from precomputed constants.  A hashed cache
+  /// first mixes the line (the first half of the Stafford mix in hash64).
+  /// The reduction is `% sets` for a power-of-two count; otherwise it is
+  /// Lemire's fastmod, which equals `% sets` only below 2^32.  Larger values
+  /// -- every hashed line -- get a different, equally well-spread residue.
+  static std::uint64_t set_of(std::uint64_t line, std::uint32_t sets, bool hashed) {
+    if (hashed) line = mix(line);
+    if ((sets & (sets - 1)) == 0) return line % sets;
+    return fastmod(line, ~0ull / sets + 1, sets);
+  }
+
   // Access statistics (monotonic since construction or reset_stats()).
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   void reset_stats() { hits_ = misses_ = 0; }
 
  private:
-  Result access_impl(std::uint64_t line, bool make_dirty, bool is_insert);
+  /// The miss path of access(): `line`, whose set starts at tags_[base], is
+  /// not present.  Allocates storage on the first fill, evicts the set's LRU
+  /// way and installs `line` at MRU.
+  Result fill(std::size_t base, std::uint64_t line, bool dirty);
 
-  std::uint64_t set_index(std::uint64_t line) const {
-    if (hashed_sets_) {
-      // Stafford mix (hash64 inlined); deterministic per line.
-      line ^= line >> 33;
-      line *= 0xff51afd7ed558ccdULL;
-      line ^= line >> 33;
-    }
-    if (pow2_sets_) return line & set_mask_;
-    // Lemire fastmod: exact line % sets_ without a hardware divide.
-    const std::uint64_t lowbits = fastmod_m_ * line;
+  static std::uint64_t mix(std::uint64_t line) {
+    line ^= line >> 33;
+    line *= 0xff51afd7ed558ccdULL;
+    return line ^ (line >> 33);
+  }
+  static std::uint64_t fastmod(std::uint64_t x, std::uint64_t m, std::uint32_t sets) {
     return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(lowbits) * sets_) >> 64);
+        (static_cast<unsigned __int128>(m * x) * sets) >> 64);
+  }
+  /// set_of(line, sets_, hashed_sets_) without a divide.
+  std::uint64_t set_index(std::uint64_t line) const {
+    if (hashed_sets_) line = mix(line);
+    return pow2_sets_ ? line & set_mask_ : fastmod(line, fastmod_m_, sets_);
+  }
+
+  /// Offset in tags_ of the first way of `line`'s set.
+  std::size_t set_base(std::uint64_t line) const {
+    return static_cast<std::size_t>(set_index(line)) * assoc_;
   }
 
   static constexpr std::uint64_t kInvalid = ~0ull;
 
   std::uint64_t size_bytes_;
   std::uint32_t assoc_;
-  std::uint32_t line_bytes_;
   std::uint32_t sets_ = 0;
   bool pow2_sets_ = true;
   bool hashed_sets_ = false;

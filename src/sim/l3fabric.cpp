@@ -99,13 +99,10 @@ void L3Fabric::cast_out(Stripe& stripe, std::uint64_t line, bool dirty) {
   if (r.evicted && r.victim_dirty) count_line(stripe, r.victim_line, MemDir::Write);
 }
 
-L3Fabric::Source L3Fabric::access_line(Stripe& stripe, std::uint64_t line,
-                                       bool make_dirty) {
-  const CacheLevel::Result r = stripe.slice.access(line, make_dirty);
-  if (r.hit) return Source::L3Hit;
-
-  // Miss: access() already filled the line (with the right dirty bit) and
-  // reported the displaced victim; cast that victim out laterally.
+L3Fabric::Source L3Fabric::slice_miss(Stripe& stripe, std::uint64_t line,
+                                      const CacheLevel::Result& r) {
+  // The slice's access() already filled the line (with the right dirty bit)
+  // and reported the displaced victim; cast that victim out laterally.
   if (r.evicted) cast_out(stripe, r.victim_line, r.victim_dirty);
 
   // Did the line come from a lateral cast-out (victim store) or from memory?

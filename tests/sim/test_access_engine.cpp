@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "selfmon/metrics.hpp"
 #include "sim/machine.hpp"
@@ -102,6 +103,101 @@ TEST_F(EngineFixture, MissHeavyReplayCountsChannelsLikeLineByLineAccesses) {
           << "ch " << ch;
     }
   }
+}
+
+/// Hits and victim hits of a line-by-line replay.
+struct LineByLineStats {
+  std::uint64_t touches = 0, l3_hits = 0, victim_hits = 0;
+};
+
+/// Replays `loop` on core 0 of `m` one line at a time through
+/// load_line/store_line, in the engine's event order (by iteration, then by
+/// stream) and touching a stream's line only when it differs from that
+/// stream's previous one.  Only for loops whose stores never bypass and that
+/// do not prefetch.
+void replay_line_by_line(Machine& m, const LoopDesc& loop, LineByLineStats& out) {
+  std::vector<std::uint64_t> prev(loop.streams.size(), ~0ull);
+  for (std::uint64_t i = 0; i < loop.iterations; ++i) {
+    for (std::size_t k = 0; k < loop.streams.size(); ++k) {
+      const StreamDesc& sd = loop.streams[k];
+      const std::uint64_t line =
+          static_cast<std::uint64_t>(static_cast<std::int64_t>(sd.base) +
+                                     static_cast<std::int64_t>(i) * sd.stride) /
+          64;
+      if (line == prev[k]) continue;
+      prev[k] = line;
+      const L3Fabric::Source src = sd.kind == AccessKind::Load
+                                       ? m.l3(0).load_line(0, line)
+                                       : m.l3(0).store_line(0, line);
+      ++out.touches;
+      out.l3_hits += src == L3Fabric::Source::L3Hit;
+      out.victim_hits += src == L3Fabric::Source::VictimHit;
+    }
+  }
+}
+
+TEST_F(EngineFixture, HitHeavyReplayCountsLikeLineByLineAccesses) {
+  // GEMM-shaped sweep: for each column j the inner loop over k reads a row
+  // of A, a column of B and a band of D, and updates two bands of C.  The
+  // per-column working set sits in the 1 MiB slice, so most touches hit;
+  // the B block touched over all columns is 2 MiB, so the second sweep
+  // recovers lines from the victim store.  Every stride mode is covered:
+  // A (8 B, shift) and E (16 B store, shift) start mid-line so elements
+  // straddle lines, B (one 2 KiB row per iteration) advances a line per
+  // iteration and is Stride-N, D (+24 B) and C (-40 B store) take the
+  // general path.  No store stride equals its element size, so no store
+  // bypasses; every touch goes through the slice.
+  constexpr std::uint64_t kK = 1024, kCols = 256, kRow = kCols * 8;
+  Machine line_by_line(test_config());
+  line_by_line.set_noise_enabled(false);
+  line_by_line.set_active_cores(0, 1);
+  const std::uint64_t a = alloc(kK * 8 + 64), b = alloc(kK * kRow),
+                      d = alloc(kK * 24 + kCols * 8 + 64),
+                      c = alloc(kK * 40 + kCols * 8 + 64),
+                      e = alloc(kK * 16 + kCols * 8 + 64);
+
+  LoopStats replayed;
+  LineByLineStats single;
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (std::uint64_t j = 0; j < kCols; ++j) {
+      LoopDesc loop;
+      loop.iterations = kK;
+      loop.streams = {{a + 60, 8, 8, AccessKind::Load},
+                      {b + j * 8 + 24, static_cast<std::int64_t>(kRow), 8, AccessKind::Load},
+                      {d + 40 + j * 8, 24, 8, AccessKind::Load},
+                      {c + kK * 40 + j * 8, -40, 8, AccessKind::Store},
+                      {e + 56 + j * 16, 16, 8, AccessKind::Store}};
+      replayed += eng().execute(loop);
+      replay_line_by_line(line_by_line, loop, single);
+    }
+  }
+
+  EXPECT_EQ(replayed.bypassed_store_lines, 0u);
+  EXPECT_EQ(replayed.line_touches, single.touches);
+  EXPECT_GT(replayed.l3_hits, replayed.line_touches * 9 / 10);
+  EXPECT_GT(replayed.victim_hits, 1000u);
+  EXPECT_EQ(replayed.l3_hits, single.l3_hits);
+  EXPECT_EQ(replayed.victim_hits, single.victim_hits);
+  EXPECT_EQ(replayed.mem_read_bytes, reads());
+  EXPECT_EQ(replayed.mem_write_bytes, writes());
+
+  // Per channel, before and after the dirty lines drain.
+  for (int flushed = 0; flushed < 2; ++flushed) {
+    if (flushed != 0) {
+      machine->flush_socket(0);
+      line_by_line.flush_socket(0);
+    }
+    const MemController& mine = machine->memctrl(0);
+    const MemController& theirs = line_by_line.memctrl(0);
+    EXPECT_EQ(mine.snapshot(), theirs.snapshot()) << "flushed " << flushed;
+    for (std::uint32_t ch = 0; ch < mine.channels(); ++ch) {
+      for (const MemDir dir : {MemDir::Read, MemDir::Write}) {
+        EXPECT_EQ(mine.channel_ops(ch, dir), theirs.channel_ops(ch, dir))
+            << "ch " << ch << " flushed " << flushed;
+      }
+    }
+  }
+  EXPECT_GT(writes(), 0u);
 }
 
 TEST_F(EngineFixture, SoftwarePrefetchForcesStoreTargetToBeRead) {

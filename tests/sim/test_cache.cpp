@@ -3,10 +3,13 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/cache.hpp"
+#include "sim/rng.hpp"
+#include "testing/reference_lru.hpp"
 
 namespace papisim::sim {
 namespace {
@@ -276,6 +279,100 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
     ::testing::Values(std::tuple{32, 8}, std::tuple{256, 8}, std::tuple{512, 16},
                       std::tuple{5120, 20}, std::tuple{96, 4}, std::tuple{60, 20}));
+
+// Differential check against the slow reference model
+// (tests/testing/reference_lru.hpp): a seeded random mix of access, insert,
+// invalidate and contains, with mixed dirty bits, must give the same result
+// in every field, op by op; periodic flushes must drain the same multiset of
+// (line, dirty) pairs.  Set counts 16 (mask) and 12 (fastmod), with and
+// without the set hash, at associativity 1, 8 and 20.
+class CacheVsReference
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::uint32_t, bool>> {};
+
+::testing::AssertionResult same_result(const CacheLevel::Result& got,
+                                       const CacheLevel::Result& want) {
+  if (got.hit == want.hit && got.evicted == want.evicted &&
+      got.victim_line == want.victim_line && got.victim_dirty == want.victim_dirty) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "{hit, evicted, victim_line, victim_dirty}: got {" << got.hit << ", "
+         << got.evicted << ", " << got.victim_line << ", " << got.victim_dirty
+         << "}, reference {" << want.hit << ", " << want.evicted << ", "
+         << want.victim_line << ", " << want.victim_dirty << "}";
+}
+
+std::vector<std::pair<std::uint64_t, bool>> drain(CacheLevel& c) {
+  std::vector<std::pair<std::uint64_t, bool>> out;
+  c.flush([&](std::uint64_t line, bool dirty) { out.emplace_back(line, dirty); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_P(CacheVsReference, EveryResultMatchesAReferenceLru) {
+  const auto [sets, assoc, hashed] = GetParam();
+  const std::uint64_t bytes = std::uint64_t{sets} * assoc * 64;
+  CacheLevel cache(bytes, assoc, 64, hashed);
+  test_support::ReferenceLru ref(bytes, assoc, 64, hashed);
+  ASSERT_EQ(cache.sets(), sets);
+
+  // About twice the capacity in distinct lines, so lines both stay resident
+  // and get evicted, plus a few far apart near the packing limit.
+  std::vector<std::uint64_t> pool;
+  for (std::uint64_t i = 0; i < 2 * cache.capacity_lines() + 3; ++i) pool.push_back(4096 + i);
+  for (std::uint64_t i = 0; i < 8; ++i) pool.push_back(CacheLevel::kLineLimit - 1 - i * 977);
+
+  SplitMix64 rng(0x5eed ^ (std::uint64_t{sets} << 16) ^ (std::uint64_t{assoc} << 8) ^ hashed);
+  std::vector<std::uint64_t> hits_at_depth(assoc, 0);
+  std::uint64_t hits = 0, lookups = 0, flushes = 0;
+  for (int op = 0; op < 100000; ++op) {
+    const std::uint64_t r = rng.next_u64();
+    const std::uint64_t line = pool[(r >> 16) % pool.size()];
+    const bool dirty = ((r >> 8) & 1) != 0;
+    const std::uint64_t kind = r % 100;
+    if (kind < 55) {
+      int depth = -1;
+      const CacheLevel::Result want = ref.access(line, dirty, &depth);
+      ASSERT_TRUE(same_result(cache.access(line, dirty), want)) << "op " << op << " access";
+      if (depth >= 0) ++hits_at_depth[static_cast<std::size_t>(depth)];
+      hits += want.hit;
+      ++lookups;
+    } else if (kind < 75) {
+      const CacheLevel::Result want = ref.insert(line, dirty);
+      ASSERT_TRUE(same_result(cache.insert(line, dirty), want)) << "op " << op << " insert";
+      hits += want.hit;
+      ++lookups;
+    } else if (kind < 92) {
+      const CacheLevel::Invalidated want = ref.invalidate(line);
+      const CacheLevel::Invalidated got = cache.invalidate(line);
+      ASSERT_EQ(got.present, want.present) << "op " << op << " invalidate";
+      ASSERT_EQ(got.dirty, want.dirty) << "op " << op << " invalidate";
+    } else if (kind < 99) {
+      ASSERT_EQ(cache.contains(line), ref.contains(line)) << "op " << op << " contains";
+    } else if ((r >> 40) % 64 == 0) {
+      std::vector<std::pair<std::uint64_t, bool>> want = ref.flush();
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(drain(cache), want) << "op " << op << " flush";
+      ++flushes;
+    }
+    ASSERT_EQ(cache.valid_lines(), ref.valid_lines()) << "op " << op;
+  }
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), lookups - hits);
+  EXPECT_GT(flushes, 0u);
+  for (std::uint32_t d = 0; d < assoc; ++d) {
+    EXPECT_GT(hits_at_depth[d], 0u) << "no hit at LRU depth " << d;
+  }
+  std::vector<std::pair<std::uint64_t, bool>> want = ref.flush();
+  std::sort(want.begin(), want.end());
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(drain(cache), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SetsWaysHash, CacheVsReference,
+    ::testing::Combine(::testing::Values(16u, 12u), ::testing::Values(1u, 8u, 20u),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace papisim::sim

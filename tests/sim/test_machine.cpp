@@ -2,6 +2,8 @@
 // interaction of engines across sockets.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/machine.hpp"
 
 namespace papisim::sim {
@@ -81,6 +83,28 @@ TEST(Machine, SetActiveCoresChangesVictimCapacityImmediately) {
   EXPECT_GT(m.l3(0).victim_store().capacity_lines(), 0u);
   m.set_active_cores(0, m.cores_per_socket());
   EXPECT_EQ(m.l3(0).victim_store().capacity_lines(), 0u);
+}
+
+TEST(Machine, RejectsLineSizesThatAreNotAPowerOfTwo) {
+  // Replay turns addresses into line numbers with a shift.
+  MachineConfig cfg;
+  cfg.sockets = 1;
+  cfg.cores_per_socket = 2;
+  for (const std::uint32_t bytes : {0u, 48u, 96u, 100u, 192u}) {
+    cfg.line_bytes = bytes;
+    EXPECT_THROW({ Machine m(cfg); }, std::invalid_argument) << bytes << " B lines";
+  }
+  for (const std::uint32_t bytes : {32u, 128u}) {
+    cfg.line_bytes = bytes;
+    Machine m(cfg);
+    m.set_noise_enabled(false);
+    LoopDesc loop;
+    loop.iterations = 1024;
+    loop.streams = {{1 << 20, 8, 8, AccessKind::Load}};
+    const LoopStats st = m.engine(0, 0).execute(loop);
+    EXPECT_EQ(st.line_touches, 1024 * 8 / bytes) << bytes << " B lines";
+    EXPECT_EQ(st.mem_read_bytes, 1024u * 8) << bytes << " B lines";
+  }
 }
 
 }  // namespace
