@@ -18,9 +18,11 @@
 //   --traffic-fingerprint
 //                      skip the suite; replay fixed deterministic workloads
 //                      (GEMM through the full PCP stack, a copy loop with
-//                      noise off and on, an S1CF strided-store re-sort) and
-//                      print the exact simulated byte and op counts of every
-//                      memory channel.  CI diffs this output, from the
+//                      noise off and on, an S1CF strided-store re-sort, a
+//                      lone-core capped GEMV that spills into the victim
+//                      store) and print the exact simulated byte and op
+//                      counts of every memory channel (and the GEMV's
+//                      victim recoveries).  CI diffs this output, from the
 //                      default build and from each compile-out build,
 //                      against the checked-in bench/traffic_fingerprint.txt:
 //                      neither a commit nor an instrumentation layer may
@@ -646,6 +648,26 @@ std::uint64_t copy_loop_leg(sim::Machine& m, bool noise) {
   return touches;
 }
 
+/// The Fig. 5 capped GEMV (M = 5120 rows over a P = 1280 x N = 1280 matrix,
+/// 13 MB re-read four times) on one active core of a noise-off socket, then
+/// the socket flushed.  Its matrix spills the 5 MB slice into the idle
+/// cores' slices, so this is the leg that drives lateral cast-out, victim
+/// recovery and the retention draw.
+struct CappedGemvLeg {
+  sim::Machine m{sim::MachineConfig::summit()};
+  std::uint64_t run() {
+    m.set_noise_enabled(false);
+    m.set_active_cores(0, 1);
+    constexpr std::uint64_t kRows = 5120, kN = 1280;
+    const kernels::GemvBuffers buf =
+        kernels::GemvBuffers::allocate(m.address_space(), kRows, kN, kN);
+    const std::uint64_t touches =
+        kernels::run_capped_gemv(m, 0, 0, kRows, kN, kN, buf).line_touches;
+    m.flush_socket(0);
+    return touches;
+  }
+};
+
 /// --traffic-fingerprint: exact simulated traffic of fixed workloads.
 /// Everything printed is a deterministic function of the simulation (fixed
 /// sizes/reps/seeds, serial replay; the noise leg's jitter stream is seeded)
@@ -654,7 +676,7 @@ std::uint64_t copy_loop_leg(sim::Machine& m, bool noise) {
 /// bench/traffic_fingerprint.txt in the default build and with each
 /// compile-out layer (PAPISIM_TRACE, PAPISIM_SPE, PAPISIM_SELFMON) off.
 int emit_traffic_fingerprint() {
-  std::cout << "traffic-fingerprint v2\n";
+  std::cout << "traffic-fingerprint v3\n";
   for (const std::uint64_t n :
        {std::uint64_t{64}, std::uint64_t{128}, std::uint64_t{256}}) {
     for (const bool sampled : {false, true}) {
@@ -690,6 +712,19 @@ int emit_traffic_fingerprint() {
     const std::uint64_t touches = leg.run();
     const sim::MemController& mc = leg.m.memctrl(0);
     std::cout << "s1cf touches=" << touches
+              << " read=" << mc.total_bytes(sim::MemDir::Read)
+              << " write=" << mc.total_bytes(sim::MemDir::Write)
+              << " read_ops=" << mc.total_ops(sim::MemDir::Read)
+              << " write_ops=" << mc.total_ops(sim::MemDir::Write) << "\n"
+              << channel_dump(mc);
+  }
+  {
+    CappedGemvLeg leg;
+    const std::uint64_t touches = leg.run();
+    const sim::MemController& mc = leg.m.memctrl(0);
+    std::cout << "gemv lone touches=" << touches
+              << " victim_recoveries=" << leg.m.l3(0).victim_recoveries()
+              << " retention_misses=" << leg.m.l3(0).victim_retention_misses()
               << " read=" << mc.total_bytes(sim::MemDir::Read)
               << " write=" << mc.total_bytes(sim::MemDir::Write)
               << " read_ops=" << mc.total_ops(sim::MemDir::Read)
