@@ -67,6 +67,9 @@ struct CoreCounters {
   std::uint64_t victim_hits = 0;
   std::uint64_t seq_line_touches = 0;      ///< stride-mix: one-line advances
   std::uint64_t strided_line_touches = 0;  ///< stride-mix: Stride-N streams
+  /// execute() passes taken from the repeat memo instead of being replayed
+  /// (their touches and hits are counted above like replayed ones).
+  std::uint64_t repeated_loops = 0;
   double busy_ns = 0.0;            ///< time this core spent executing
 
   std::uint64_t l3_misses() const { return line_touches - l3_hits - victim_hits; }
@@ -84,6 +87,15 @@ struct CoreCounters {
 ///    stream), bypass is enabled, and no strided stream is detected;
 ///  * sw_prefetch forces store-stream lines to be *read* into L3 first;
 ///  * every memory transaction is 64 B and lands on an MBA channel.
+///
+/// A pass that provably repeats the previous one is not replayed (DESIGN.md
+/// §3b): when a replay hit the slice on every access, counted no memory line
+/// and bypassed no store, the engine remembers its loop and stats.  The next
+/// execute() of the same loop on an unchanged slice (same CacheLevel::epoch)
+/// reuses those stats -- replaying it would hit the same lines in the same
+/// order and leave the slice as it was.  Everything after the touch loop
+/// (stride mix, time model, clock, noise, counters) runs as for a replay.
+/// Never while an SPE sampler is attached: it must see every touch.
 ///
 /// The engine advances the virtual clock (and accrues measurement noise over
 /// the elapsed time) after each replay -- unless deferred-time mode is on, in
@@ -111,6 +123,7 @@ class alignas(64) AccessEngine {
 
   /// Scalar accesses (used for sparse stores such as y[i]/C[i][j] and by
   /// tests).  Scalar stores never bypass: the hardware cannot prove density.
+  /// A zero-byte access touches nothing.
   void load(std::uint64_t addr, std::uint32_t bytes);
   void store(std::uint64_t addr, std::uint32_t bytes);
 
@@ -149,6 +162,37 @@ class alignas(64) AccessEngine {
   spe::CoreSampler* spe() const { return spe_; }
 
  private:
+  /// A pass's key fixes its line-touch sequence: the trip count, the
+  /// prefetch flag, the stream count and, per stream, this: its stride,
+  /// element size, kind and start -- the start line when the stride is a
+  /// whole number of lines (every touch then sits at a fixed line offset
+  /// from it), else the exact base address.
+  struct StreamKey {
+    std::uint64_t start = 0;
+    std::int64_t stride = 0;
+    std::uint32_t elem_bytes = 0;
+    AccessKind kind = AccessKind::Load;
+    bool operator==(const StreamKey&) const = default;
+  };
+  /// The last all-hit pass and what it counted (see the class comment).
+  struct RepeatMemo {
+    bool valid = false;
+    std::uint64_t slice_epoch = 0;  ///< the slice's epoch when the pass ended
+    std::uint64_t iterations = 0;
+    bool sw_prefetch = false;
+    std::size_t streams = 0;
+    StreamKey key[16];
+    std::uint64_t line_touches = 0;
+    std::uint64_t l3_hits = 0;
+    std::uint64_t allocated_store_lines = 0;
+    std::uint64_t slice_hits = 0;  ///< two per store touch under sw_prefetch
+    std::uint64_t stream_touches[16] = {};
+  };
+
+  StreamKey key_of(const StreamDesc& sd) const;
+  /// True when memo_ holds a pass of `loop` taken at this slice epoch.
+  bool repeats(const LoopDesc& loop, std::uint64_t slice_epoch) const;
+
   std::uint64_t line_of(std::uint64_t addr) const { return addr >> line_shift_; }
   /// Bytes in `lines` lines, which is also the first address of line `lines`.
   std::uint64_t bytes_of(std::uint64_t lines) const { return lines << line_shift_; }
@@ -171,6 +215,7 @@ class alignas(64) AccessEngine {
 
   LoopStats scalar_stats_;
   CoreCounters counters_;
+  RepeatMemo memo_;
   spe::CoreSampler* spe_ = nullptr;
   bool deferred_time_ = false;
   double pending_ns_ = 0.0;

@@ -26,6 +26,7 @@ CacheLevel::Result CacheLevel::fill(std::size_t base, std::uint64_t line, bool d
   ++misses_;
   Result res;
   if (sets_ == 0) return res;  // zero capacity: nothing is retained
+  ++epoch_;
   if (tags_.empty()) [[unlikely]] {
     tags_.assign(static_cast<std::size_t>(sets_) * assoc_, kInvalid);
   }
@@ -66,6 +67,7 @@ CacheLevel::Invalidated CacheLevel::invalidate(std::uint64_t line) {
       for (std::uint32_t j = w; j + 1 < assoc_; ++j) tags[j] = tags[j + 1];
       tags[assoc_ - 1] = kInvalid;
       --valid_count_;
+      ++epoch_;
       return out;
     }
   }
@@ -74,6 +76,7 @@ CacheLevel::Invalidated CacheLevel::invalidate(std::uint64_t line) {
 
 void CacheLevel::flush(const std::function<void(std::uint64_t, bool)>& sink) {
   if (valid_count_ == 0) return;
+  ++epoch_;
   for (std::uint64_t& word : tags_) {
     if (word != kInvalid) {
       sink(word >> 1, (word & 1) != 0);

@@ -28,6 +28,11 @@ namespace papisim::sim {
 /// never holds a line -- an idle core's slice, an unused victim partition --
 /// costs no tag memory, and contains/invalidate/flush on an empty cache
 /// return at once.
+///
+/// epoch() names the tag state: it changes whenever the recency order or a
+/// dirty bit does, and only then, so a caller that saw the same epoch twice
+/// knows nothing in the cache moved in between (the engine's repeat memo,
+/// DESIGN.md §3b, relies on this).
 class CacheLevel {
  public:
   /// Constructs a cache of `size_bytes` capacity with `associativity` ways
@@ -58,6 +63,8 @@ class CacheLevel {
   /// `depth` words.  A word matches `line` iff (word | 1) == (line << 1 | 1);
   /// the empty word kInvalid matches no line below kLineLimit.  With no
   /// valid line nothing can hit, which also covers the never-filled cache.
+  /// A hit at the MRU way that leaves the dirty bit as it was changes
+  /// nothing, so it keeps the epoch; for a load that check folds away.
   Result access(std::uint64_t line, bool make_dirty) {
     assert(line < kLineLimit);
     const std::size_t base = set_base(line);
@@ -67,7 +74,12 @@ class CacheLevel {
       for (std::uint32_t w = 0; w < assoc_; ++w) {
         if ((tags[w] | 1) == key) {
           const std::uint64_t word = tags[w] | std::uint64_t{make_dirty};
-          for (std::uint32_t j = w; j > 0; --j) tags[j] = tags[j - 1];
+          if (w != 0) {
+            for (std::uint32_t j = w; j > 0; --j) tags[j] = tags[j - 1];
+            ++epoch_;
+          } else if (word != tags[0]) {
+            ++epoch_;  // a store dirtied the clean MRU line
+          }
           tags[0] = word;
           ++hits_;
           return Result{.hit = true};
@@ -113,6 +125,14 @@ class CacheLevel {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   void reset_stats() { hits_ = misses_ = 0; }
+  /// Count `n` hits that left the tag state as it was, without performing
+  /// them (a repeated all-hit pass, DESIGN.md §3b).
+  void count_hits(std::uint64_t n) { hits_ += n; }
+
+  /// Changes exactly when the tag state (recency order or a dirty bit)
+  /// changes: a fill, a hit below the MRU way, a hit that dirties a clean
+  /// line, invalidating a present line, flushing a non-empty cache.
+  std::uint64_t epoch() const { return epoch_; }
 
  private:
   /// The miss path of access(): `line`, whose set starts at tags_[base], is
@@ -155,6 +175,7 @@ class CacheLevel {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t valid_count_ = 0;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace papisim::sim

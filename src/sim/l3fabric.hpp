@@ -108,6 +108,13 @@ class L3Fabric {
       fabric_->count_line(*stripe_, line, MemDir::Write);
     }
 
+    /// The slice's tag-state epoch and hit count (CacheLevel::epoch/hits).
+    std::uint64_t slice_epoch() const { return stripe_->slice.epoch(); }
+    std::uint64_t slice_hits() const { return stripe_->slice.hits(); }
+    /// Count `n` slice hits of a repeated all-hit pass that was not replayed
+    /// (AccessEngine's repeat memo, DESIGN.md §3b).
+    void repeat_hits(std::uint64_t n) { stripe_->slice.count_hits(n); }
+
     /// Memory lines this hold has caused so far in direction `dir`.
     std::uint64_t lines(MemDir dir) const {
       std::uint64_t n = 0;

@@ -2,7 +2,9 @@
 // policies (the mechanisms behind the paper's Figs. 6-9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "selfmon/metrics.hpp"
@@ -108,30 +110,56 @@ TEST_F(EngineFixture, MissHeavyReplayCountsChannelsLikeLineByLineAccesses) {
 /// Hits and victim hits of a line-by-line replay.
 struct LineByLineStats {
   std::uint64_t touches = 0, l3_hits = 0, victim_hits = 0;
+  void count(L3Fabric::Source src) {
+    ++touches;
+    l3_hits += src == L3Fabric::Source::L3Hit;
+    victim_hits += src == L3Fabric::Source::VictimHit;
+  }
 };
+
+spe::HitLevel level_of(L3Fabric::Source src) {
+  switch (src) {
+    case L3Fabric::Source::L3Hit: return spe::HitLevel::L3Hit;
+    case L3Fabric::Source::VictimHit: return spe::HitLevel::VictimHit;
+    case L3Fabric::Source::Memory: break;
+  }
+  return spe::HitLevel::Memory;
+}
 
 /// Replays `loop` on core 0 of `m` one line at a time through
 /// load_line/store_line, in the engine's event order (by iteration, then by
 /// stream) and touching a stream's line only when it differs from that
-/// stream's previous one.  Only for loops whose stores never bypass and that
-/// do not prefetch.
-void replay_line_by_line(Machine& m, const LoopDesc& loop, LineByLineStats& out) {
+/// stream's previous one.  A store under sw_prefetch is prefetch_line then
+/// store_line, and reports where the prefetch found the line.  Only for
+/// loops whose stores never bypass.  Each touch is offered to `sampler`, if
+/// given, as the engine offers it, stamped `t_ns`.
+void replay_line_by_line(Machine& m, const LoopDesc& loop, LineByLineStats& out,
+                         spe::CoreSampler* sampler = nullptr, std::uint64_t t_ns = 0) {
   std::vector<std::uint64_t> prev(loop.streams.size(), ~0ull);
   for (std::uint64_t i = 0; i < loop.iterations; ++i) {
     for (std::size_t k = 0; k < loop.streams.size(); ++k) {
       const StreamDesc& sd = loop.streams[k];
-      const std::uint64_t line =
-          static_cast<std::uint64_t>(static_cast<std::int64_t>(sd.base) +
-                                     static_cast<std::int64_t>(i) * sd.stride) /
-          64;
+      const std::uint64_t addr = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(sd.base) + static_cast<std::int64_t>(i) * sd.stride);
+      const std::uint64_t line = addr / 64;
       if (line == prev[k]) continue;
       prev[k] = line;
-      const L3Fabric::Source src = sd.kind == AccessKind::Load
-                                       ? m.l3(0).load_line(0, line)
-                                       : m.l3(0).store_line(0, line);
-      ++out.touches;
-      out.l3_hits += src == L3Fabric::Source::L3Hit;
-      out.victim_hits += src == L3Fabric::Source::VictimHit;
+      L3Fabric::Source src;
+      if (sd.kind == AccessKind::Load) {
+        src = m.l3(0).load_line(0, line);
+      } else if (loop.sw_prefetch) {
+        src = m.l3(0).prefetch_line(0, line);
+        m.l3(0).store_line(0, line);
+      } else {
+        src = m.l3(0).store_line(0, line);
+      }
+      out.count(src);
+      if (sampler != nullptr) {
+        sampler->on_access(addr,
+                           sd.kind == AccessKind::Load ? spe::AccessKind::Load
+                                                       : spe::AccessKind::Store,
+                           level_of(src), sd.stride, t_ns);
+      }
     }
   }
 }
@@ -198,6 +226,223 @@ TEST_F(EngineFixture, HitHeavyReplayCountsLikeLineByLineAccesses) {
     }
   }
   EXPECT_GT(writes(), 0u);
+}
+
+/// Two identical noise-off machines with one active core: `fast` replays
+/// loops through AccessEngine, `slow` one line at a time.  Both see the same
+/// scalar accesses and flushes.
+struct TwinMachines {
+  Machine fast{test_config()};
+  Machine slow{test_config()};
+  LoopStats replayed;
+  LineByLineStats single;
+
+  TwinMachines() {
+    for (Machine* m : {&fast, &slow}) {
+      m->set_noise_enabled(false);
+      m->set_active_cores(0, 1);
+    }
+  }
+  AccessEngine& eng() { return fast.engine(0, 0); }
+  std::uint64_t alloc(std::uint64_t bytes) {
+    return fast.address_space().allocate(bytes, 64);
+  }
+  std::uint64_t repeated() { return eng().counters().repeated_loops; }
+  std::uint64_t epoch() { return fast.l3(0).slice(0).epoch(); }
+
+  /// The current virtual time, as an attached sampler stamps it.
+  std::uint64_t now_ns() const {
+    return static_cast<std::uint64_t>(fast.clock().now_ns());
+  }
+
+  void pass(const LoopDesc& loop, spe::CoreSampler* sampler = nullptr) {
+    const std::uint64_t t_ns = now_ns();
+    replayed += eng().execute(loop);
+    replay_line_by_line(slow, loop, single, sampler, t_ns);
+  }
+  /// One scalar 8-byte access of `addr` (within one line).
+  void scalar(std::uint64_t addr, AccessKind kind, spe::CoreSampler* sampler = nullptr) {
+    const std::uint64_t t_ns = now_ns();
+    const bool load = kind == AccessKind::Load;
+    load ? eng().load(addr, 8) : eng().store(addr, 8);
+    const L3Fabric::Source src =
+        load ? slow.l3(0).load_line(0, addr / 64) : slow.l3(0).store_line(0, addr / 64);
+    single.count(src);
+    if (sampler != nullptr) {
+      sampler->on_access(addr, load ? spe::AccessKind::Load : spe::AccessKind::Store,
+                         level_of(src), 0, t_ns);
+    }
+  }
+  void flush_core() {
+    fast.l3(0).flush_core(0);
+    slow.l3(0).flush_core(0);
+  }
+
+  /// Touches, hits, slice hits, per-channel bytes and ops, and the slice's
+  /// (line, dirty) pairs must all agree.  Drains both slices.
+  void expect_same() {
+    replayed += eng().take_scalar_stats();
+    EXPECT_EQ(replayed.line_touches, single.touches);
+    EXPECT_EQ(replayed.l3_hits, single.l3_hits);
+    EXPECT_EQ(replayed.victim_hits, single.victim_hits);
+    EXPECT_EQ(fast.l3(0).slice(0).hits(), slow.l3(0).slice(0).hits());
+    EXPECT_EQ(fast.l3(0).slice(0).misses(), slow.l3(0).slice(0).misses());
+    const MemController& mine = fast.memctrl(0);
+    const MemController& theirs = slow.memctrl(0);
+    EXPECT_EQ(mine.snapshot(), theirs.snapshot());
+    for (std::uint32_t ch = 0; ch < mine.channels(); ++ch) {
+      for (const MemDir dir : {MemDir::Read, MemDir::Write}) {
+        EXPECT_EQ(mine.channel_bytes(ch, dir), theirs.channel_bytes(ch, dir))
+            << "ch " << ch;
+        EXPECT_EQ(mine.channel_ops(ch, dir), theirs.channel_ops(ch, dir)) << "ch " << ch;
+      }
+    }
+    std::vector<std::pair<std::uint64_t, bool>> drained[2];
+    for (int side = 0; side < 2; ++side) {
+      (side == 0 ? fast : slow).l3(0).slice(0).flush([&](std::uint64_t line, bool dirty) {
+        drained[side].emplace_back(line, dirty);
+      });
+      std::sort(drained[side].begin(), drained[side].end());
+    }
+    EXPECT_FALSE(drained[0].empty());
+    EXPECT_EQ(drained[0], drained[1]);
+  }
+};
+
+/// GEMM's inner loop for row i of A and column j of B (n x n doubles): k
+/// runs over A[i][k] (8 B apart) and B[k][j] (one row apart).  Columns
+/// j..j+7 share B's lines, so those eight passes touch the same lines.
+/// With `prefetch`, a store stream over row i of D rides along under
+/// sw_prefetch (two slice accesses per store touch).
+LoopDesc gemm_pass(std::uint64_t n, std::uint64_t a, std::uint64_t b, std::uint64_t d,
+                   std::uint64_t i, std::uint64_t j, bool prefetch = false) {
+  LoopDesc loop;
+  loop.iterations = n;
+  loop.flops_per_iter = 2.0;
+  loop.streams = {{a + i * n * 8, 8, 8, AccessKind::Load},
+                  {b + j * 8, static_cast<std::int64_t>(n * 8), 8, AccessKind::Load}};
+  if (prefetch) {
+    loop.sw_prefetch = true;
+    loop.streams.push_back({d + i * n * 8, 8, 8, AccessKind::Store});
+  }
+  return loop;
+}
+
+TEST(EngineRepeat, RepeatedAllHitPassesCountLikeLineByLineAccesses) {
+  // A GEMM j-group sweep with the scalar C[i][j] store between passes.  The
+  // matrices fit in the slice, so after the first row every pass hits; the
+  // C store hits its line at MRU (already dirty) or misses on a new line.
+  constexpr std::uint64_t kN = 64;
+  for (const bool prefetch : {false, true}) {
+    SCOPED_TRACE(prefetch ? "sw_prefetch" : "plain");
+    TwinMachines twin;
+    const std::uint64_t a = twin.alloc(kN * kN * 8), b = twin.alloc(kN * kN * 8),
+                        c = twin.alloc(kN * kN * 8), d = twin.alloc(kN * kN * 8);
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      for (std::uint64_t j = 0; j < kN; ++j) {
+        twin.pass(gemm_pass(kN, a, b, d, i, j, prefetch));
+        twin.scalar(c + (i * kN + j) * 8, AccessKind::Store);
+      }
+    }
+    // Most passes of a group repeat: all but the first pass of each group
+    // and the one after a new C line.
+    EXPECT_GT(twin.repeated(), kN * kN / 2);
+    EXPECT_EQ(twin.replayed.bypassed_store_lines, 0u);
+    twin.expect_same();
+  }
+}
+
+TEST(EngineRepeat, EachSliceChangeBetweenPassesForcesAFullReplay) {
+  enum class Change { None, Reorder, DirtyClean, Miss, FlushCore };
+  constexpr std::uint64_t kN = 64;
+  for (const Change change : {Change::None, Change::Reorder, Change::DirtyClean,
+                              Change::Miss, Change::FlushCore}) {
+    SCOPED_TRACE(static_cast<int>(change));
+    TwinMachines twin;
+    const std::uint64_t a = twin.alloc(kN * kN * 8), b = twin.alloc(kN * kN * 8),
+                        other = twin.alloc(1 << 20);
+    const LoopDesc loop = gemm_pass(kN, a, b, 0, 1, 1);
+    // The loop's first line and a line of `other` in the same set: loaded
+    // before the loop, it sits behind the loop line afterwards.
+    const std::uint64_t first = loop.streams[0].base / 64;
+    const std::uint32_t sets = twin.fast.l3(0).slice(0).sets();
+    std::uint64_t same_set = other / 64;
+    const std::uint64_t first_set = CacheLevel::set_of(first, sets, true);
+    while (CacheLevel::set_of(same_set, sets, true) != first_set) ++same_set;
+    // The loop's last touch, B[n-1][1]: the MRU line of its set, and clean.
+    const std::uint64_t last = loop.streams[1].base + (kN - 1) * kN * 8;
+
+    twin.scalar(same_set * 64, AccessKind::Load);
+    twin.pass(loop);  // cold: misses, not remembered
+    twin.pass(loop);  // every access hits: remembered
+    twin.pass(loop);  // repeated
+    ASSERT_EQ(twin.repeated(), 1u);
+
+    const std::uint64_t epoch0 = twin.epoch();
+    switch (change) {
+      case Change::None: twin.scalar(last, AccessKind::Load); break;
+      case Change::Reorder: twin.scalar(same_set * 64, AccessKind::Load); break;
+      case Change::DirtyClean: twin.scalar(last, AccessKind::Store); break;
+      case Change::Miss: twin.scalar(other + (1 << 20) - 64, AccessKind::Load); break;
+      case Change::FlushCore: twin.flush_core(); break;
+    }
+    EXPECT_EQ(twin.epoch() != epoch0, change != Change::None);
+    twin.pass(loop);
+    EXPECT_EQ(twin.repeated(), change == Change::None ? 2u : 1u);
+    twin.pass(loop);
+    twin.pass(loop);
+    EXPECT_GE(twin.repeated(), 2u);
+    twin.expect_same();
+  }
+}
+
+TEST(EngineRepeat, AttachedSamplerSeesEveryTouchOfEveryPass) {
+  if (!spe::kEnabled) GTEST_SKIP() << "SPE compiled out";
+  // The same j-group sweep with a 1-in-1 sampler attached from the third
+  // pass on, when the second (all hits) has been remembered: no pass may be
+  // repeated, and the samples must be exactly those of a line-by-line
+  // replay offered to an identical sampler.
+  constexpr std::uint64_t kN = 32;
+  spe::SpeConfig cfg;
+  cfg.period = 1;
+  cfg.ring_capacity = 1 << 17;
+  spe::CoreSampler sampler(0, cfg), reference(0, cfg);
+  TwinMachines twin;
+  const std::uint64_t a = twin.alloc(kN * kN * 8), b = twin.alloc(kN * kN * 8),
+                      c = twin.alloc(kN * kN * 8);
+  std::uint64_t touches_before = 0;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    for (std::uint64_t j = 0; j < kN; ++j) {
+      if (i == 0 && j == 2) {
+        twin.eng().set_spe(&sampler);
+        touches_before = twin.single.touches;
+      }
+      spe::CoreSampler* const ref = twin.eng().spe() != nullptr ? &reference : nullptr;
+      twin.pass(gemm_pass(kN, a, b, 0, i, j), ref);
+      twin.scalar(c + (i * kN + j) * 8, AccessKind::Store, ref);
+    }
+  }
+  twin.eng().set_spe(nullptr);
+  EXPECT_EQ(twin.repeated(), 0u);
+  std::vector<spe::Sample> got, want;
+  sampler.drain(got);
+  reference.drain(want);
+  EXPECT_EQ(sampler.drops(), 0u);
+  EXPECT_EQ(got.size(), twin.single.touches - touches_before);
+  EXPECT_TRUE(got == want);
+  twin.expect_same();
+}
+
+TEST_F(EngineFixture, ZeroByteScalarAccessesTouchNothing) {
+  for (const std::uint64_t addr : {65ull, 130ull, 0ull}) {
+    eng().load(addr, 0);
+    eng().store(addr, 0);
+  }
+  const LoopStats st = eng().take_scalar_stats();
+  EXPECT_EQ(st.line_touches, 0u);
+  EXPECT_EQ(st.mem_read_bytes, 0u);
+  EXPECT_EQ(machine->l3(0).total_slice_lookups(), 0u);
+  EXPECT_EQ(reads(), 0u);
 }
 
 TEST_F(EngineFixture, SoftwarePrefetchForcesStoreTargetToBeRead) {

@@ -325,13 +325,21 @@ TEST_P(CacheVsReference, EveryResultMatchesAReferenceLru) {
   SplitMix64 rng(0x5eed ^ (std::uint64_t{sets} << 16) ^ (std::uint64_t{assoc} << 8) ^ hashed);
   std::vector<std::uint64_t> hits_at_depth(assoc, 0);
   std::uint64_t hits = 0, lookups = 0, flushes = 0;
+  // The epoch must move exactly when the reference's state (recency order
+  // or a dirty bit) does; count both outcomes so neither goes untested.
+  std::uint64_t epoch_moves = 0, epoch_stays = 0, mru_dirtied = 0, mru_same = 0;
   for (int op = 0; op < 100000; ++op) {
     const std::uint64_t r = rng.next_u64();
     const std::uint64_t line = pool[(r >> 16) % pool.size()];
     const bool dirty = ((r >> 8) & 1) != 0;
     const std::uint64_t kind = r % 100;
+    const std::uint64_t epoch0 = cache.epoch();
+    // Flush is the one operation that can change more than `line`'s set.
+    const bool flush_op = kind >= 99 && (r >> 40) % 64 == 0;
+    const auto state0 = ref.set_state(line);
+    const std::uint64_t valid0 = ref.valid_lines();
+    int depth = -1;
     if (kind < 55) {
-      int depth = -1;
       const CacheLevel::Result want = ref.access(line, dirty, &depth);
       ASSERT_TRUE(same_result(cache.access(line, dirty), want)) << "op " << op << " access";
       if (depth >= 0) ++hits_at_depth[static_cast<std::size_t>(depth)];
@@ -356,7 +364,15 @@ TEST_P(CacheVsReference, EveryResultMatchesAReferenceLru) {
       ++flushes;
     }
     ASSERT_EQ(cache.valid_lines(), ref.valid_lines()) << "op " << op;
+    const bool changed = flush_op ? valid0 != 0 : ref.set_state(line) != state0;
+    ASSERT_EQ(cache.epoch() != epoch0, changed) << "op " << op << " kind " << kind;
+    (changed ? epoch_moves : epoch_stays) += 1;
+    if (depth == 0) (changed ? mru_dirtied : mru_same) += 1;
   }
+  EXPECT_GT(epoch_moves, 0u);
+  EXPECT_GT(epoch_stays, 0u);
+  EXPECT_GT(mru_dirtied, 0u) << "no MRU hit set a dirty bit";
+  EXPECT_GT(mru_same, 0u) << "no MRU hit left the set as it was";
   EXPECT_EQ(cache.hits(), hits);
   EXPECT_EQ(cache.misses(), lookups - hits);
   EXPECT_GT(flushes, 0u);
@@ -366,7 +382,12 @@ TEST_P(CacheVsReference, EveryResultMatchesAReferenceLru) {
   std::vector<std::pair<std::uint64_t, bool>> want = ref.flush();
   std::sort(want.begin(), want.end());
   EXPECT_FALSE(want.empty());
+  const std::uint64_t epoch_full = cache.epoch();
   EXPECT_EQ(drain(cache), want);
+  EXPECT_NE(cache.epoch(), epoch_full);
+  const std::uint64_t epoch_empty = cache.epoch();
+  EXPECT_TRUE(drain(cache).empty());
+  EXPECT_EQ(cache.epoch(), epoch_empty) << "flushing an empty cache changes nothing";
 }
 
 INSTANTIATE_TEST_SUITE_P(

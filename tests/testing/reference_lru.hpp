@@ -92,6 +92,15 @@ class ReferenceLru {
     return out;
   }
 
+  /// The (line, dirty) entries of `line`'s set, MRU first: the whole state
+  /// an access, insert or invalidate of `line` can change.
+  std::vector<std::pair<std::uint64_t, bool>> set_state(std::uint64_t line) const {
+    std::vector<std::pair<std::uint64_t, bool>> out;
+    if (sets_.empty()) return out;
+    for (const Entry& e : sets_[set_index(line)]) out.emplace_back(e.line, e.dirty);
+    return out;
+  }
+
   std::uint64_t valid_lines() const {
     std::uint64_t n = 0;
     for (const std::list<Entry>& set : sets_) n += set.size();
