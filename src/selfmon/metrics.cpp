@@ -184,7 +184,7 @@ thread_local BlockHandle t_handle;
 
 namespace detail {
 
-thread_local ThreadBlock* tls_block = nullptr;
+constinit thread_local ThreadBlock* tls_block = nullptr;
 
 ThreadBlock& acquire_block() {
   ThreadBlock* block = registry().acquire();

@@ -157,7 +157,9 @@ struct ThreadBlock {
   std::array<Hist, kNumHists> hists{};
 };
 
-extern thread_local ThreadBlock* tls_block;
+/// constinit: every translation unit reads the variable directly instead of
+/// through a thread-local init wrapper.
+extern constinit thread_local ThreadBlock* tls_block;
 
 /// Slow path: allocate (or reuse a retired) block and register it.
 ThreadBlock& acquire_block();

@@ -24,24 +24,15 @@ CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t associativity,
 
 CacheLevel::Result CacheLevel::fill(std::size_t base, std::uint64_t line, bool dirty) {
   ++misses_;
-  Result res;
-  if (sets_ == 0) return res;  // zero capacity: nothing is retained
+  if (sets_ == 0) return Result{};  // zero capacity: nothing is retained
   ++epoch_;
   if (tags_.empty()) [[unlikely]] {
     tags_.assign(static_cast<std::size_t>(sets_) * assoc_, kInvalid);
   }
-  std::uint64_t* const tags = tags_.data() + base;
-  const std::uint32_t lru = assoc_ - 1;
-  if (tags[lru] != kInvalid) {
-    res.evicted = true;
-    res.victim_line = tags[lru] >> 1;
-    res.victim_dirty = (tags[lru] & 1) != 0;
-  } else {
-    ++valid_count_;
-  }
-  for (std::uint32_t j = lru; j > 0; --j) tags[j] = tags[j - 1];
-  tags[0] = (line << 1) | std::uint64_t{dirty};
-  return res;
+  // Every way is empty, so way 0 is the whole recency order.
+  tags_[base] = (line << 1) | std::uint64_t{dirty};
+  ++valid_count_;
+  return Result{};
 }
 
 bool CacheLevel::contains(std::uint64_t line) const {

@@ -18,11 +18,15 @@ namespace papisim::sim {
 /// Line numbers must therefore stay below kLineLimit = 2^63 - 1 (the
 /// all-ones word marks an empty way); a debug assertion checks it.
 ///
-/// Hit path inline, miss path out of line: access() is defined here so the
-/// replay loop resolves a hit -- set index, tag scan, MRU shuffle, dirty
-/// merge -- with no function call.  Everything a miss does (first-fill
-/// allocation, LRU eviction, the valid-line count) lives in one out-of-line
-/// routine, fill(), which insert() reaches through access() too.
+/// One inline pass: access() is defined here so the replay loop resolves a
+/// hit or a miss -- set index, tag compare, LRU update, dirty merge, the
+/// eviction -- with no function call.  Past the MRU way the LRU update is a
+/// single fused walk: each way's word is carried one way down while its tag
+/// is compared, so a hit at depth d has moved the d younger words and a miss
+/// has shifted the whole set and holds the evicted LRU word in hand.  The
+/// one out-of-line routine, fill(), is the first fill of an empty cache
+/// (tag allocation, or nothing at all for zero capacity).  insert() reaches
+/// the same walk through access().
 ///
 /// Storage is allocated on the first fill (access or insert).  A cache that
 /// never holds a line -- an idle core's slice, an unused victim partition --
@@ -58,35 +62,55 @@ class CacheLevel {
 
   /// Lookup with fill-on-miss; `make_dirty` marks the (resulting) line dirty.
   ///
-  /// LRU is a physical recency order within each set (way 0 = MRU): hot
-  /// lines hit at shallow scan depth, and the shuffle on a hit moves at most
-  /// `depth` words.  A word matches `line` iff (word | 1) == (line << 1 | 1);
-  /// the empty word kInvalid matches no line below kLineLimit.  With no
-  /// valid line nothing can hit, which also covers the never-filled cache.
-  /// A hit at the MRU way that leaves the dirty bit as it was changes
-  /// nothing, so it keeps the epoch; for a load that check folds away.
+  /// LRU is a physical recency order within each set (way 0 = MRU).  A word
+  /// matches `line` iff (word | 1) == (line << 1 | 1); the empty word
+  /// kInvalid matches no line below kLineLimit.  The MRU way is checked
+  /// first: a hit there that leaves the dirty bit as it was changes nothing,
+  /// so it keeps the epoch (for a load that check folds away).  The walk of
+  /// ways 1..A-1 stores the carried word into each way before comparing the
+  /// word it displaced: on a match the shuffle is already done and the
+  /// matched word goes to way 0; past the last way the carried word is the
+  /// LRU entry, evicted unless it is kInvalid (a set not yet full), and the
+  /// new line goes to way 0.  With no valid line nothing can hit and there
+  /// is nothing to walk, which also covers the never-filled cache.
   Result access(std::uint64_t line, bool make_dirty) {
     assert(line < kLineLimit);
     const std::size_t base = set_base(line);
-    if (valid_count_ != 0) {
-      std::uint64_t* const tags = tags_.data() + base;
-      const std::uint64_t key = (line << 1) | 1;
-      for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if ((tags[w] | 1) == key) {
-          const std::uint64_t word = tags[w] | std::uint64_t{make_dirty};
-          if (w != 0) {
-            for (std::uint32_t j = w; j > 0; --j) tags[j] = tags[j - 1];
-            ++epoch_;
-          } else if (word != tags[0]) {
-            ++epoch_;  // a store dirtied the clean MRU line
-          }
-          tags[0] = word;
-          ++hits_;
-          return Result{.hit = true};
-        }
+    if (valid_count_ == 0) [[unlikely]] return fill(base, line, make_dirty);
+    std::uint64_t* const tags = tags_.data() + base;
+    const std::uint64_t key = (line << 1) | 1;
+    std::uint64_t carry = tags[0];
+    if ((carry | 1) == key) {
+      const std::uint64_t word = carry | std::uint64_t{make_dirty};
+      if (word != carry) {
+        tags[0] = word;
+        ++epoch_;  // a store dirtied the clean MRU line
       }
+      ++hits_;
+      return Result{.hit = true};
     }
-    return fill(base, line, make_dirty);
+    ++epoch_;  // anything past the MRU way moves the recency order
+    // Unrolled by four: a miss walks every way (19 for the L3 slice).
+#pragma GCC unroll 4
+    for (std::uint32_t w = 1; w < assoc_; ++w) {
+      const std::uint64_t word = tags[w];
+      tags[w] = carry;
+      if ((word | 1) == key) {
+        tags[0] = word | std::uint64_t{make_dirty};
+        ++hits_;
+        return Result{.hit = true};
+      }
+      carry = word;
+    }
+    tags[0] = (line << 1) | std::uint64_t{make_dirty};
+    ++misses_;
+    if (carry == kInvalid) {
+      ++valid_count_;
+      return Result{};
+    }
+    return Result{.evicted = true,
+                  .victim_line = carry >> 1,
+                  .victim_dirty = (carry & 1) != 0};
   }
 
   /// Lookup without fill or replacement-state change.
@@ -135,9 +159,9 @@ class CacheLevel {
   std::uint64_t epoch() const { return epoch_; }
 
  private:
-  /// The miss path of access(): `line`, whose set starts at tags_[base], is
-  /// not present.  Allocates storage on the first fill, evicts the set's LRU
-  /// way and installs `line` at MRU.
+  /// The miss of access() on a cache with no valid line: allocates storage
+  /// on the very first fill and installs `line`, whose set starts at
+  /// tags_[base], at MRU.  A zero-capacity cache only counts the miss.
   Result fill(std::size_t base, std::uint64_t line, bool dirty);
 
   static std::uint64_t mix(std::uint64_t line) {

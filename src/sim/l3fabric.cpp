@@ -90,20 +90,16 @@ bool L3Fabric::retained(Stripe& stripe, std::uint64_t line) {
          retention_threshold_;
 }
 
-void L3Fabric::cast_out(Stripe& stripe, std::uint64_t line, bool dirty) {
-  if (stripe.victim.capacity_lines() == 0) {
-    if (dirty) count_line(stripe, line, MemDir::Write);
-    return;
-  }
-  const CacheLevel::Result r = stripe.victim.insert(line, dirty);
-  if (r.evicted && r.victim_dirty) count_line(stripe, r.victim_line, MemDir::Write);
-}
-
 L3Fabric::Source L3Fabric::slice_miss(Stripe& stripe, std::uint64_t line,
                                       const CacheLevel::Result& r) {
   // The slice's access() already filled the line (with the right dirty bit)
   // and reported the displaced victim; cast that victim out laterally.
-  if (r.evicted) cast_out(stripe, r.victim_line, r.victim_dirty);
+  if (r.evicted) {
+    const CacheLevel::Result cast = stripe.victim.insert(r.victim_line, r.victim_dirty);
+    if (cast.evicted && cast.victim_dirty) {
+      count_line(stripe, cast.victim_line, MemDir::Write);
+    }
+  }
 
   // Did the line come from a lateral cast-out (victim store) or from memory?
   const CacheLevel::Invalidated inv = stripe.victim.invalidate(line);

@@ -30,12 +30,15 @@ namespace papisim::sim {
 /// This is what makes the single-threaded GEMM degrade *gradually* past the
 /// 5 MB footprint while the fully-batched GEMM jumps sharply (paper Figs 2-4).
 ///
-/// Hit path inline (DESIGN.md §3b): access_line() and the StripeHandle
-/// accessors are defined in this header and CacheLevel::access() in its own,
-/// so a slice hit -- nearly every GEMM touch -- runs from the replay loop to
-/// the tag compare with no function call.  A slice miss leaves the inline
-/// path once, for slice_miss(): the lateral cast-out of the slice's victim,
-/// the victim-store recovery and its retention draw, the memory-line count.
+/// Hit path and memory miss inline (DESIGN.md §3b): access_line() and the
+/// StripeHandle accessors are defined in this header and CacheLevel::access()
+/// in its own, so a slice hit -- nearly every GEMM touch -- runs from the
+/// replay loop to the tag compare with no function call.  So does a slice
+/// miss when the core's victim store has no capacity (every core active, or
+/// lateral cast-out off): the dirty victim's write and the line's read are
+/// counted inline.  Only a miss with a victim store leaves the inline path,
+/// once, for slice_miss(): the lateral cast-out of the slice's victim, the
+/// victim-store recovery and its retention draw, the memory-line count.
 ///
 /// Threading model (DESIGN.md §3b): all per-core mutable state (the slice,
 /// the core's victim-store partition, the retention-event sequence, the
@@ -202,18 +205,21 @@ class L3Fabric {
   /// already held, the contention) in selfmon.
   static std::unique_lock<std::mutex> lock_stripe(Stripe& stripe);
 
-  /// One access; the caller holds `stripe`.  A slice hit returns inline;
-  /// everything past it is in slice_miss().
+  /// One access; the caller holds `stripe`.  A slice hit returns inline,
+  /// and so does a miss with no victim store to cast out to or recover
+  /// from; everything else is in slice_miss().
   Source access_line(Stripe& stripe, std::uint64_t line, bool make_dirty) {
     const CacheLevel::Result r = stripe.slice.access(line, make_dirty);
     if (r.hit) return Source::L3Hit;
-    return slice_miss(stripe, line, r);
+    if (stripe.victim.capacity_lines() != 0) return slice_miss(stripe, line, r);
+    if (r.victim_dirty) count_line(stripe, r.victim_line, MemDir::Write);
+    count_line(stripe, line, MemDir::Read);
+    return Source::Memory;
   }
   /// The slice missed on `line` and filled it, displacing `r`'s victim (if
-  /// any): cast that victim out, then recover `line` from the victim store
-  /// or read it from memory.
+  /// any), and the stripe has a victim store: cast that victim out into it,
+  /// then recover `line` from it or read `line` from memory.
   Source slice_miss(Stripe& stripe, std::uint64_t line, const CacheLevel::Result& r);
-  void cast_out(Stripe& stripe, std::uint64_t line, bool dirty);
   bool retained(Stripe& stripe, std::uint64_t line);
 
   /// Count one memory line against the current hold of `stripe`.

@@ -289,7 +289,7 @@ std::atomic<std::uint64_t> g_next_id{1};
 
 namespace detail {
 
-thread_local TraceContext tls_current;
+constinit thread_local TraceContext tls_current;
 
 std::uint64_t now_ns_impl() {
   static const auto epoch = std::chrono::steady_clock::now();

@@ -29,7 +29,9 @@ namespace papisim::trace {
 
 namespace detail {
 
-extern thread_local TraceContext tls_current;
+/// constinit: every translation unit reads the variable directly instead of
+/// through a thread-local init wrapper.
+extern constinit thread_local TraceContext tls_current;
 
 std::uint64_t now_ns_impl();
 std::uint64_t next_id_impl();

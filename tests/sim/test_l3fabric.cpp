@@ -1,7 +1,14 @@
 // Unit tests for the sliced L3 with lateral cast-out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "sim/l3fabric.hpp"
+#include "sim/rng.hpp"
+#include "testing/reference_fabric.hpp"
 
 namespace papisim::sim {
 namespace {
@@ -244,6 +251,130 @@ TEST(L3Fabric, VictimCountersSumOverCores) {
   EXPECT_GT(f.l3.victim_retention_misses(), 0u);
   EXPECT_EQ(f.l3.victim_recoveries(), victim_hits);
 }
+
+// Differential check against the slow reference fabric
+// (tests/testing/reference_fabric.hpp): a seeded random mix of loads,
+// stores, prefetches, write-throughs, core flushes and active-core changes
+// must give the same Source for every access and, after every operation,
+// the same bytes and ops on every memory channel and the same victim
+// counters.  Periodically every pool line's presence in the slices and
+// victim partitions must agree, and at the end each slice must hold the
+// same (line, dirty) pairs.  The run starts at 1, 2 or 21 active cores of
+// 21 (21: no victim store, every miss resolved inline), with lateral
+// cast-out on and off and retention 1.0 and 0.9.
+class FabricVsReference
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool, double>> {};
+
+TEST_P(FabricVsReference, EveryAccessAndChannelMatchesAReferenceFabric) {
+  const auto [active0, lateral, retention] = GetParam();
+  MachineConfig cfg;
+  cfg.cores_per_socket = 21;
+  cfg.l3_slice_bytes = 12 * 5 * 64;  // 12 sets x 5 ways
+  cfg.l3_associativity = 5;
+  cfg.lateral_castout = lateral;
+  cfg.castout_retention = retention;
+  cfg.mem_channels = 6;
+  constexpr std::uint32_t kInterleave = 2;
+  MemController mem(cfg.mem_channels, cfg.line_bytes, kInterleave);
+  L3Fabric l3(cfg, mem);
+  test_support::ReferenceFabric ref(cfg, kInterleave);
+  l3.set_active_cores(active0);
+  ref.set_active_cores(active0);
+  std::uint32_t active = active0;
+
+  // More distinct lines than a lone core's slice and victim partition hold
+  // together (60 + 1200), so the victim store evicts too.
+  std::vector<std::uint64_t> pool;
+  for (std::uint64_t i = 0; i < 2048; ++i) pool.push_back(0x10000 + i * 3);
+  SplitMix64 rng(0xfab ^ (std::uint64_t{active0} << 8) ^ (std::uint64_t{lateral} << 4) ^
+                 static_cast<std::uint64_t>(retention * 10));
+  std::uint64_t sources[3] = {};
+  std::uint64_t flushes = 0, reconfigures = 0;
+  constexpr int kOps = 150000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t r = rng.next_u64();
+    // Half the touches go to a slowly moving window of 40 lines, so the
+    // slices hit as well as miss; the rest spread over the whole pool.
+    const std::size_t window = static_cast<std::size_t>(op / 256) % (pool.size() - 40);
+    const std::uint64_t line = (r >> 63) != 0 ? pool[window + (r >> 32) % 40]
+                                              : pool[(r >> 32) % pool.size()];
+    const std::uint32_t core =
+        static_cast<std::uint32_t>((r >> 16) % std::min(active, 3u));
+    const std::uint64_t kind = r % 1000;
+    if (kind < 900) {
+      L3Fabric::Source got, want;
+      if (kind < 450) {
+        got = l3.load_line(core, line);
+        want = ref.load(core, line);
+      } else if (kind < 750) {
+        got = l3.store_line(core, line);
+        want = ref.store(core, line);
+      } else {
+        got = l3.prefetch_line(core, line);
+        want = ref.prefetch(core, line);
+      }
+      ASSERT_EQ(static_cast<int>(got), static_cast<int>(want))
+          << "op " << op << " kind " << kind << " core " << core << " line " << line;
+      ++sources[static_cast<int>(got)];
+    } else if (kind < 990) {
+      l3.hold(core).write_through(line);
+      ref.write_through(line);
+    } else if (kind < 998) {
+      l3.flush_core(core);
+      ref.flush_core(core);
+      ++flushes;
+    } else {
+      constexpr std::uint32_t kActive[] = {1, 2, 21};
+      active = kActive[(r >> 8) % 3];
+      l3.set_active_cores(active);
+      ref.set_active_cores(active);
+      ++reconfigures;
+    }
+    for (std::uint32_t ch = 0; ch < cfg.mem_channels; ++ch) {
+      for (const MemDir dir : {MemDir::Read, MemDir::Write}) {
+        ASSERT_EQ(mem.channel_bytes(ch, dir), ref.channel_bytes(ch, dir))
+            << "op " << op << " channel " << ch << " dir " << static_cast<int>(dir);
+        ASSERT_EQ(mem.channel_ops(ch, dir), ref.channel_ops(ch, dir))
+            << "op " << op << " channel " << ch << " dir " << static_cast<int>(dir);
+      }
+    }
+    ASSERT_EQ(l3.victim_recoveries(), ref.victim_recoveries()) << "op " << op;
+    ASSERT_EQ(l3.victim_retention_misses(), ref.victim_retention_misses()) << "op " << op;
+    if (op % 2000 == 1999) {
+      for (std::uint32_t c = 0; c < 3; ++c) {
+        for (const std::uint64_t l : pool) {
+          ASSERT_EQ(l3.slice(c).contains(l), ref.slice(c).contains(l))
+              << "op " << op << " core " << c << " slice line " << l;
+          ASSERT_EQ(l3.victim_store(c).contains(l), ref.victim_store(c).contains(l))
+              << "op " << op << " core " << c << " victim line " << l;
+        }
+      }
+    }
+  }
+  for (std::uint32_t c = 0; c < cfg.cores_per_socket; ++c) {
+    std::vector<std::pair<std::uint64_t, bool>> got;
+    l3.slice(c).flush([&](std::uint64_t l, bool dirty) { got.emplace_back(l, dirty); });
+    std::vector<std::pair<std::uint64_t, bool>> want = ref.slice(c).flush();
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << "core " << c << " slice";
+  }
+  EXPECT_GT(sources[static_cast<int>(L3Fabric::Source::L3Hit)], 0u);
+  EXPECT_GT(sources[static_cast<int>(L3Fabric::Source::Memory)], 0u);
+  EXPECT_GT(flushes, 0u);
+  EXPECT_GT(reconfigures, 0u);
+  if (lateral) {
+    EXPECT_GT(sources[static_cast<int>(L3Fabric::Source::VictimHit)], 0u);
+    if (retention < 1.0) {
+      EXPECT_GT(ref.victim_retention_misses(), 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ActiveCoresCastoutRetention, FabricVsReference,
+                         ::testing::Combine(::testing::Values(1u, 2u, 21u),
+                                            ::testing::Bool(),
+                                            ::testing::Values(1.0, 0.9)));
 
 TEST(L3Fabric, RejectsMoreChannelsThanAStripeCanTrack) {
   MachineConfig cfg = small_config();
