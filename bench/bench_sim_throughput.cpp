@@ -258,6 +258,30 @@ struct ResortLeg {
   }
 };
 
+/// The Fig. 5 capped GEMV (M = 5120 rows over a P = 1280 x N = 1280 matrix,
+/// 13 MB re-read four times) on one active core of a noise-off socket.  Its
+/// matrix spills the 5 MB slice into the idle cores' slices, so this is the
+/// leg that drives lateral cast-out, victim recovery and the retention draw.
+struct CappedGemvLeg {
+  static constexpr std::uint64_t kRows = 5120, kN = 1280;
+  sim::Machine m{sim::MachineConfig::summit()};
+  kernels::GemvBuffers buf;
+
+  CappedGemvLeg() {
+    m.set_noise_enabled(false);
+    m.set_active_cores(0, 1);
+    buf = kernels::GemvBuffers::allocate(m.address_space(), kRows, kN, kN);
+  }
+
+  /// One replay plus the socket flush; returns the line touches.
+  std::uint64_t run() {
+    const std::uint64_t touches =
+        kernels::run_capped_gemv(m, 0, 0, kRows, kN, kN, buf).line_touches;
+    m.flush_socket(0);
+    return touches;
+  }
+};
+
 }  // namespace
 
 static void BM_ResortReplay(benchmark::State& state) {
@@ -267,6 +291,15 @@ static void BM_ResortReplay(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(touches));
 }
 BENCHMARK(BM_ResortReplay);
+
+// The lone-core capped GEMV: the victim-store miss path (slice_miss).
+static void BM_LoneGemvReplay(benchmark::State& state) {
+  CappedGemvLeg leg;
+  std::uint64_t touches = 0;
+  for (auto _ : state) touches += leg.run();
+  state.SetItemsProcessed(static_cast<std::int64_t>(touches));
+}
+BENCHMARK(BM_LoneGemvReplay)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------- JSON summary mode
 
@@ -647,26 +680,6 @@ std::uint64_t copy_loop_leg(sim::Machine& m, bool noise) {
   m.flush_socket(0);
   return touches;
 }
-
-/// The Fig. 5 capped GEMV (M = 5120 rows over a P = 1280 x N = 1280 matrix,
-/// 13 MB re-read four times) on one active core of a noise-off socket, then
-/// the socket flushed.  Its matrix spills the 5 MB slice into the idle
-/// cores' slices, so this is the leg that drives lateral cast-out, victim
-/// recovery and the retention draw.
-struct CappedGemvLeg {
-  sim::Machine m{sim::MachineConfig::summit()};
-  std::uint64_t run() {
-    m.set_noise_enabled(false);
-    m.set_active_cores(0, 1);
-    constexpr std::uint64_t kRows = 5120, kN = 1280;
-    const kernels::GemvBuffers buf =
-        kernels::GemvBuffers::allocate(m.address_space(), kRows, kN, kN);
-    const std::uint64_t touches =
-        kernels::run_capped_gemv(m, 0, 0, kRows, kN, kN, buf).line_touches;
-    m.flush_socket(0);
-    return touches;
-  }
-};
 
 /// --traffic-fingerprint: exact simulated traffic of fixed workloads.
 /// Everything printed is a deterministic function of the simulation (fixed

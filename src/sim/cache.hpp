@@ -116,6 +116,27 @@ class CacheLevel {
   /// Lookup without fill or replacement-state change.
   bool contains(std::uint64_t line) const;
 
+  /// Host-prefetch the tag words of `line`'s set, every host cache line the
+  /// set spans (the tag array is only 16-byte aligned, so an 8-way set of
+  /// 64 bytes usually straddles two).  A hint only: it changes no state, and
+  /// any 64-bit `line` is valid.  A cache with no storage does nothing.
+  void prefetch_set(std::uint64_t line) const {
+    if (tags_.empty()) return;
+    const auto set = reinterpret_cast<std::uintptr_t>(tags_.data() + set_base(line));
+    const std::uintptr_t last = set + (assoc_ - 1) * sizeof(std::uint64_t);
+    host_prefetch(set);
+    // Then the start of each further host line, up to the last way's.
+    for (std::uintptr_t p = (set | 63) + 1; p <= last; p += 64) host_prefetch(p);
+  }
+
+  /// The LRU word -- `line << 1 | dirty`, or all ones if that way is empty
+  /// -- of the set `line` maps to: the line a miss on `line` would evict
+  /// now.  All ones for a cache with no storage; any 64-bit `line` is valid.
+  std::uint64_t lru_word(std::uint64_t line) const {
+    if (tags_.empty()) return kInvalid;
+    return tags_[set_base(line) + assoc_ - 1];
+  }
+
   /// Fill a line (cast-out insertion).  Same semantics as access(): a line
   /// already present is refreshed to MRU with its dirty bit merged.
   Result insert(std::uint64_t line, bool dirty) { return access(line, dirty); }
@@ -163,6 +184,18 @@ class CacheLevel {
   /// on the very first fill and installs `line`, whose set starts at
   /// tags_[base], at MRU.  A zero-capacity cache only counts the miss.
   Result fill(std::size_t base, std::uint64_t line, bool dirty);
+
+  /// A read prefetch into every host cache level.  On x86-64 it is written
+  /// as the instruction itself: g++ 12 at -O3 finds a void helper around
+  /// __builtin_prefetch pure and deletes its calls (DESIGN.md §3b).
+  static void host_prefetch(std::uintptr_t addr) {
+    const char* const p = reinterpret_cast<const char*>(addr);
+#if defined(__x86_64__)
+    asm volatile("prefetcht0 %0" : : "m"(*p));
+#else
+    __builtin_prefetch(p);
+#endif
+  }
 
   static std::uint64_t mix(std::uint64_t line) {
     line ^= line >> 33;

@@ -92,6 +92,22 @@ bool L3Fabric::retained(Stripe& stripe, std::uint64_t line) {
 
 L3Fabric::Source L3Fabric::slice_miss(Stripe& stripe, std::uint64_t line,
                                       const CacheLevel::Result& r) {
+  // Start the recovery probe's set on its way while the cast-out walks its
+  // own.
+  stripe.victim.prefetch_set(line);
+  // On a steady stride, start the two sets the miss kMissLookahead strides
+  // ahead will probe: its own (the recovery) and that of its slice set's LRU
+  // line (its cast-out, if the set is unchanged by then).  Unsigned
+  // arithmetic, so a stride that runs past 0 or 2^64 wraps.
+  const std::uint64_t delta = line - stripe.last_miss;
+  if (delta == stripe.last_delta && delta != 0) {
+    const std::uint64_t ahead = line + kMissLookahead * delta;
+    stripe.victim.prefetch_set(ahead);
+    stripe.victim.prefetch_set(stripe.slice.lru_word(ahead) >> 1);
+  }
+  stripe.last_miss = line;
+  stripe.last_delta = delta;
+
   // The slice's access() already filled the line (with the right dirty bit)
   // and reported the displaced victim; cast that victim out laterally.
   if (r.evicted) {

@@ -38,7 +38,8 @@ namespace papisim::sim {
 /// lateral cast-out off): the dirty victim's write and the line's read are
 /// counted inline.  Only a miss with a victim store leaves the inline path,
 /// once, for slice_miss(): the lateral cast-out of the slice's victim, the
-/// victim-store recovery and its retention draw, the memory-line count.
+/// victim-store recovery and its retention draw, the memory-line count, and
+/// the host prefetches that overlap the victim store's tag loads.
 ///
 /// Threading model (DESIGN.md §3b): all per-core mutable state (the slice,
 /// the core's victim-store partition, the retention-event sequence, the
@@ -200,6 +201,12 @@ class L3Fabric {
     /// when the hold ends.
     std::uint64_t touched = 0;
     std::uint64_t lines[2 * kMaxChannels] = {};
+    /// slice_miss()'s stride lookahead: the last line it handled and that
+    /// line's delta from the one before (mod 2^64).  Prefetch hints only;
+    /// no count depends on them.  Kept after lines[] so the inline hit path
+    /// sees the same offsets as without them.
+    std::uint64_t last_miss = 0;
+    std::uint64_t last_delta = 0;
   };
   /// Lock a stripe, counting the acquisition (and, if the stripe was
   /// already held, the contention) in selfmon.
@@ -218,8 +225,14 @@ class L3Fabric {
   }
   /// The slice missed on `line` and filled it, displacing `r`'s victim (if
   /// any), and the stripe has a victim store: cast that victim out into it,
-  /// then recover `line` from it or read `line` from memory.
+  /// then recover `line` from it or read `line` from memory.  Both victim
+  /// probes are random loads into a tag array far larger than the host's
+  /// caches, so it first host-prefetches the recovery probe's set, and on a
+  /// steady stride the sets of the miss kMissLookahead strides ahead
+  /// (DESIGN.md §3b, victim-store lookahead).
   Source slice_miss(Stripe& stripe, std::uint64_t line, const CacheLevel::Result& r);
+  /// How many strides ahead slice_miss() prefetches.
+  static constexpr std::uint64_t kMissLookahead = 16;
   bool retained(Stripe& stripe, std::uint64_t line);
 
   /// Count one memory line against the current hold of `stripe`.

@@ -172,8 +172,8 @@ TEST_F(LoggerFixture, LoadRejectsInvalidUtf8MetricNames) {
 }
 
 TEST_F(LoggerFixture, LoadRejectsEmptyAndCrlfOnlyFiles) {
-  for (const std::string text : {std::string(""), std::string("\r\n"),
-                                 std::string("\r\n\r\n\r\n")}) {
+  for (const std::string& text : {std::string(""), std::string("\r\n"),
+                                  std::string("\r\n\r\n\r\n")}) {
     std::stringstream ss(text);
     try {
       Archive::load(ss);

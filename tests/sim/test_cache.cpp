@@ -234,6 +234,30 @@ TEST(CacheLevel, NeverFilledCacheIsEmptyAndFlushesNothing) {
   EXPECT_FALSE(c.contains(7));
 }
 
+TEST(CacheLevel, LruWordNamesTheNextVictimAndHintsChangeNothing) {
+  CacheLevel c(4 * 64 * 2, 2, 64);  // 4 sets, 2 ways
+  const std::uint64_t s = c.sets();
+  EXPECT_EQ(c.lru_word(0), ~0ull);  // no storage yet
+  c.prefetch_set(0);
+  c.access(0, true);
+  EXPECT_EQ(c.lru_word(s), ~0ull);  // the set's second way is still empty
+  c.access(s, false);
+  c.access(0, false);
+  EXPECT_EQ(c.lru_word(2 * s), s << 1);  // clean line s is the LRU way
+  c.access(s, true);
+  EXPECT_EQ(c.lru_word(2 * s), 1u);  // now line 0, dirty
+  const std::uint64_t epoch = c.epoch();
+  // Any 64-bit line is a valid hint, including those past kLineLimit.
+  for (const std::uint64_t line :
+       {std::uint64_t{0}, std::uint64_t{3}, CacheLevel::kLineLimit, ~std::uint64_t{0}}) {
+    c.prefetch_set(line);
+    c.lru_word(line);
+  }
+  EXPECT_EQ(c.epoch(), epoch);
+  EXPECT_EQ(c.hits() + c.misses(), 4u);
+  EXPECT_EQ(c.access(2 * s, false).victim_line, 0u);
+}
+
 TEST(CacheLevel, LinesNearThePackingLimitRoundTrip) {
   const std::uint64_t big[] = {1ull << 62, (1ull << 62) + 1,
                                CacheLevel::kLineLimit - 2,

@@ -376,6 +376,97 @@ INSTANTIATE_TEST_SUITE_P(ActiveCoresCastoutRetention, FabricVsReference,
                                             ::testing::Bool(),
                                             ::testing::Values(1.0, 0.9)));
 
+/// `count` accesses from `start`, `stride` lines apart (mod 2^64).
+struct StrideRun {
+  std::uint64_t start;
+  std::uint64_t stride;
+  std::uint64_t count;
+};
+
+/// Replays `runs`, `passes` times over, on one active core with lateral
+/// cast-out on, through L3Fabric and ReferenceFabric side by side, and
+/// requires every access's source, every channel's bytes and ops and both
+/// victim counters to agree after every access.  Random lines
+/// (FabricVsReference) give slice_miss() two equal strides in a row only by
+/// chance; these runs give it long ones, so its lookahead prefetches fire on
+/// most misses.  Every third access is a store, so cast-outs are dirty too.
+/// Returns the fabric's victim recoveries.
+std::uint64_t replay_strided_runs(const std::vector<StrideRun>& runs, int passes) {
+  MachineConfig cfg;
+  cfg.cores_per_socket = 21;
+  cfg.l3_slice_bytes = 12 * 5 * 64;  // 12 sets x 5 ways; 1200-line victim store
+  cfg.l3_associativity = 5;
+  cfg.lateral_castout = true;
+  cfg.castout_retention = 0.9;
+  cfg.mem_channels = 6;
+  constexpr std::uint32_t kInterleave = 2;
+  MemController mem(cfg.mem_channels, cfg.line_bytes, kInterleave);
+  L3Fabric l3(cfg, mem);
+  test_support::ReferenceFabric ref(cfg, kInterleave);
+  l3.set_active_cores(1);
+  ref.set_active_cores(1);
+  std::uint64_t op = 0;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (const StrideRun& run : runs) {
+      for (std::uint64_t i = 0; i < run.count; ++i, ++op) {
+        const std::uint64_t line = run.start + i * run.stride;
+        const bool store = op % 3 == 2;
+        const L3Fabric::Source got = store ? l3.store_line(0, line) : l3.load_line(0, line);
+        const L3Fabric::Source want = store ? ref.store(0, line) : ref.load(0, line);
+        EXPECT_EQ(static_cast<int>(got), static_cast<int>(want))
+            << "op " << op << " line " << line;
+        for (std::uint32_t ch = 0; ch < cfg.mem_channels; ++ch) {
+          for (const MemDir dir : {MemDir::Read, MemDir::Write}) {
+            EXPECT_EQ(mem.channel_bytes(ch, dir), ref.channel_bytes(ch, dir))
+                << "op " << op << " channel " << ch << " dir " << static_cast<int>(dir);
+            EXPECT_EQ(mem.channel_ops(ch, dir), ref.channel_ops(ch, dir))
+                << "op " << op << " channel " << ch << " dir " << static_cast<int>(dir);
+          }
+        }
+        EXPECT_EQ(l3.victim_recoveries(), ref.victim_recoveries()) << "op " << op;
+        EXPECT_EQ(l3.victim_retention_misses(), ref.victim_retention_misses())
+            << "op " << op;
+        if (::testing::Test::HasFailure()) return l3.victim_recoveries();
+      }
+    }
+  }
+  return l3.victim_recoveries();
+}
+
+// 400 lines: past the 60-line slice, inside the slice plus victim store.
+TEST(StridedFabricVsReference, UnitStrideUp) {
+  EXPECT_GT(replay_strided_runs({{0x10000, 1, 400}}, 4), 0u);
+}
+
+TEST(StridedFabricVsReference, LargeStrideUp) {
+  EXPECT_GT(replay_strided_runs({{0x10000, 128, 400}}, 4), 0u);
+}
+
+TEST(StridedFabricVsReference, UnitStrideDown) {
+  EXPECT_GT(replay_strided_runs({{0x10000, ~0ull, 400}}, 4), 0u);  // stride -1
+}
+
+TEST(StridedFabricVsReference, StrideChangesMidRun) {
+  EXPECT_GT(replay_strided_runs({{0x10000, 1, 150},
+                                 {0x10000 + 150, 7, 150},
+                                 {0x20000, ~0ull - 2, 150},  // stride -3
+                                 {0x10000, 1, 150}},
+                                4),
+            0u);
+}
+
+// Lookahead targets that run past 0, past kLineLimit, and past 2^64.
+TEST(StridedFabricVsReference, StridesWrapAtTheLineLimits) {
+  constexpr std::uint64_t kTop = CacheLevel::kLineLimit - 1;
+  constexpr std::uint64_t kHuge = (1ull << 60) + 3;  // 16 strides wrap 2^64
+  EXPECT_GT(replay_strided_runs({{300, ~0ull, 301},  // down to line 0
+                                 {kTop - 300, 1, 301},  // up to the last line
+                                 {kTop, ~0ull, 301},
+                                 {5, kHuge, 7}},
+                                4),
+            0u);
+}
+
 TEST(L3Fabric, RejectsMoreChannelsThanAStripeCanTrack) {
   MachineConfig cfg = small_config();
   MemController mem(33, cfg.line_bytes, 2);
