@@ -5,8 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "sim/thread_pool.hpp"
-
 namespace papisim::fft {
 
 void fft3d_local(std::vector<cplx>& data, std::size_t n, bool inverse) {
@@ -68,54 +66,12 @@ DistributedFft3d::DistributedFft3d(sim::Machine& machine, Fft3dConfig cfg,
   if (cfg_.ticks_per_phase == 0) cfg_.ticks_per_phase = 1;
   // The rank is OpenMP-parallel across the socket in the real mini-app, so
   // every core is busy and each gets its contended 5 MB L3 share (the
-  // assumption behind paper Eq. 7).  By default the replay walks the
-  // statically partitioned loops on one engine; totals are equivalent
-  // because the per-rank block far exceeds any single share.  With
-  // replay_threads > 1 the loops are dealt across that many engines and
-  // replayed concurrently (replay_planes).
+  // assumption behind paper Eq. 7).  The replay walks the statically
+  // partitioned loops on one engine; totals are equivalent because the
+  // per-rank block far exceeds any single share.  With no victim store,
+  // each re-sort batch is replayed set-sharded on the host's cores
+  // (AccessEngine::execute_all).
   machine_.set_active_cores(cfg_.socket, machine_.cores_per_socket());
-  cfg_.replay_threads = std::max<std::uint32_t>(1, cfg_.replay_threads);
-  cfg_.replay_threads = std::min(cfg_.replay_threads,
-                                 machine_.cores_per_socket() - cfg_.core);
-  if (cfg_.replay_threads > 1) {
-    replay_pool_ = std::make_unique<sim::ThreadPool>(cfg_.replay_threads - 1);
-  }
-}
-
-DistributedFft3d::~DistributedFft3d() = default;
-
-void DistributedFft3d::replay_planes(
-    std::uint64_t lo, std::uint64_t hi, const sim::LoopDesc& proto,
-    sim::LoopStats& out,
-    const std::function<void(sim::AccessEngine&, sim::LoopDesc&, std::uint64_t,
-                             sim::LoopStats&)>& plane_body) {
-  const std::uint32_t nthreads = cfg_.replay_threads;
-  if (nthreads <= 1) {
-    sim::AccessEngine& eng = machine_.engine(cfg_.socket, cfg_.core);
-    sim::LoopDesc local = proto;
-    for (std::uint64_t p = lo; p < hi; ++p) plane_body(eng, local, p, out);
-    return;
-  }
-  std::vector<sim::LoopStats> partial(nthreads);
-  for (std::uint32_t t = 0; t < nthreads; ++t) {
-    machine_.engine(cfg_.socket, cfg_.core + t).set_deferred_time(true);
-  }
-  replay_pool_->parallel_for(nthreads, [&](std::uint32_t t) {
-    sim::AccessEngine& eng = machine_.engine(cfg_.socket, cfg_.core + t);
-    sim::LoopDesc local = proto;
-    for (std::uint64_t p = lo + t; p < hi; p += nthreads) {
-      plane_body(eng, local, p, partial[t]);
-    }
-  });
-  double max_ns = 0.0;
-  for (std::uint32_t t = 0; t < nthreads; ++t) {
-    sim::AccessEngine& eng = machine_.engine(cfg_.socket, cfg_.core + t);
-    max_ns = std::max(max_ns, eng.take_deferred_time_ns());
-    eng.set_deferred_time(false);
-  }
-  machine_.advance(max_ns);
-  // Deterministic merge order (core 0..N-1), independent of completion order.
-  for (const sim::LoopStats& s : partial) out += s;
 }
 
 PhaseStats& DistributedFft3d::begin_phase(const std::string& name) {
@@ -130,87 +86,23 @@ void DistributedFft3d::end_phase(PhaseStats& ph) {
   ph.t1_sec = machine_.clock().now_sec();
 }
 
-void DistributedFft3d::phase_resort_strided(const std::string& name,
-                                            const std::function<void()>& tick,
-                                            bool planewise) {
+void DistributedFft3d::phase_resort(const std::string& name,
+                                    const std::function<void()>& tick, bool second,
+                                    bool planewise) {
   PhaseStats& ph = begin_phase(name);
-  // Chunk the combined S1CF nest over planes so the sampler sees the phase
-  // evolve.
-  const std::uint64_t chunks =
-      std::min<std::uint64_t>(cfg_.ticks_per_phase, dims_.planes);
-  sim::LoopDesc inner;
-  inner.iterations = dims_.cols;
-  inner.sw_prefetch = cfg_.prefetch;
-  inner.streams = {
-      {0, 16, 16, sim::AccessKind::Load},
-      {0, static_cast<std::int64_t>(dims_.planes * dims_.rows * 16), 16,
-       sim::AccessKind::Store},
-  };
+  sim::AccessEngine& eng = machine_.engine(cfg_.socket, cfg_.core);
+  // Chunk the nest over planes so the sampler sees the phase evolve.
+  const std::uint64_t planes = second ? s2dims_.planes : dims_.planes;
+  const std::uint64_t chunks = std::min<std::uint64_t>(cfg_.ticks_per_phase, planes);
   std::uint64_t done = 0;
   for (std::uint64_t c = 0; c < chunks; ++c) {
-    const std::uint64_t end = dims_.planes * (c + 1) / chunks;
-    replay_planes(done, end, inner, ph.loop,
-                  [&](sim::AccessEngine& eng, sim::LoopDesc& local,
-                      std::uint64_t plane, sim::LoopStats& out) {
-                    for (std::uint64_t row = 0; row < dims_.rows; ++row) {
-                      local.streams[0].base =
-                          buf_.in + (plane * dims_.rows + row) * dims_.cols * 16;
-                      // Colwise (S1CF) and planewise (S1PF) differ only in
-                      // which output dimension is fastest; the store stride
-                      // magnitude is the same.
-                      local.streams[1].base =
-                          buf_.out + (planewise ? (row * dims_.planes + plane)
-                                                : (plane * dims_.rows + row)) *
-                                         16;
-                      out += eng.execute(local);
-                    }
-                  });
-    done = end;
-    if (tick) tick();
-  }
-  end_phase(ph);
-}
-
-void DistributedFft3d::phase_resort_sequential(const std::string& name,
-                                               const std::function<void()>& tick,
-                                               bool planewise) {
-  PhaseStats& ph = begin_phase(name);
-  const std::uint64_t chunks =
-      std::min<std::uint64_t>(cfg_.ticks_per_phase, s2dims_.planes);
-  sim::LoopDesc inner;
-  inner.iterations = s2dims_.rows;
-  inner.sw_prefetch = cfg_.prefetch;
-  inner.streams = {
-      {0, 16, 16, sim::AccessKind::Load},
-      {0, 16, 16, sim::AccessKind::Store},
-  };
-  std::uint64_t done = 0;
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    const std::uint64_t end = s2dims_.planes * (c + 1) / chunks;
-    replay_planes(
-        done, end, inner, ph.loop,
-        [&](sim::AccessEngine& eng, sim::LoopDesc& local, std::uint64_t plane,
-            sim::LoopStats& out) {
-          for (std::uint64_t xx = 0; xx < s2dims_.x; ++xx) {
-            for (std::uint64_t yy = 0; yy < s2dims_.y; ++yy) {
-              local.streams[0].base =
-                  buf_.in + (((yy * s2dims_.planes + plane) * s2dims_.x + xx) *
-                             s2dims_.rows) *
-                                16;
-              // Colwise (S2CF) vs planewise (S2PF) output ordering; both keep
-              // the innermost dimension contiguous.
-              local.streams[1].base =
-                  buf_.out +
-                  (planewise
-                       ? (((xx * s2dims_.y + yy) * s2dims_.planes + plane) *
-                          s2dims_.rows)
-                       : (((plane * s2dims_.x + xx) * s2dims_.y + yy) *
-                          s2dims_.rows)) *
-                      16;
-              out += eng.execute(local);
-            }
-          }
-        });
+    const std::uint64_t end = planes * (c + 1) / chunks;
+    if (second) {
+      s2_resort_loops(s2dims_, buf_, cfg_.prefetch, planewise, done, end, batch_);
+    } else {
+      s1_resort_loops(dims_, buf_, cfg_.prefetch, planewise, done, end, batch_);
+    }
+    eng.execute_all(batch_, ph.loop);
     done = end;
     if (tick) tick();
   }
@@ -241,29 +133,20 @@ void DistributedFft3d::phase_fft(const std::string& name,
       if (tick) tick();
     }
   } else {
-    // Host FFT: one streaming pass over the pencils (read + write).  Each
-    // chunk is split into one contiguous sub-range per replay engine (the
-    // sub-ranges are the "planes" dealt out by replay_planes).
+    // Host FFT: one streaming pass over the pencils (read + write), one
+    // loop per chunk.
     const std::uint64_t elems = dims_.elems();
-    const std::uint32_t nthreads = cfg_.replay_threads;
+    sim::AccessEngine& eng = machine_.engine(cfg_.socket, cfg_.core);
     sim::LoopDesc pass;
     pass.flops_per_iter = 5.0 * std::log2(static_cast<double>(cfg_.n));
     for (std::uint32_t c = 0; c < chunks; ++c) {
       const std::uint64_t lo = elems * c / chunks, hi = elems * (c + 1) / chunks;
-      replay_planes(0, nthreads, pass, ph.loop,
-                    [&](sim::AccessEngine& eng, sim::LoopDesc& local,
-                        std::uint64_t part, sim::LoopStats& out) {
-                      const std::uint64_t plo = lo + (hi - lo) * part / nthreads;
-                      const std::uint64_t phi =
-                          lo + (hi - lo) * (part + 1) / nthreads;
-                      if (phi == plo) return;
-                      local.iterations = phi - plo;
-                      local.streams = {
-                          {buf_.out + plo * 16, 16, 16, sim::AccessKind::Load},
-                          {buf_.in + plo * 16, 16, 16, sim::AccessKind::Store},
-                      };
-                      out += eng.execute(local);
-                    });
+      pass.iterations = hi - lo;
+      pass.streams = {
+          {buf_.out + lo * 16, 16, 16, sim::AccessKind::Load},
+          {buf_.in + lo * 16, 16, 16, sim::AccessKind::Store},
+      };
+      ph.loop += eng.execute(pass);
       if (tick) tick();
     }
   }
@@ -294,15 +177,15 @@ void DistributedFft3d::run_forward(const std::function<void()>& tick) {
   // three 1D-FFT batches and two All2All exchanges.  The 1st and 3rd
   // re-sorts are strided (two reads per write); the 2nd and 4th have
   // matching innermost dimensions (one read per write).
-  phase_resort_strided("resort1_S1CF", tick);
+  phase_resort("resort1_S1CF", tick, /*second=*/false, /*planewise=*/false);
   phase_fft("fft_z", tick);
   phase_alltoall("all2all_1", cfg_.grid.cols, tick);
-  phase_resort_sequential("resort2_S2CF", tick);
+  phase_resort("resort2_S2CF", tick, /*second=*/true, /*planewise=*/false);
   phase_fft("fft_y", tick);
   phase_alltoall("all2all_2", cfg_.grid.rows, tick);
-  phase_resort_strided("resort3_S1PF", tick, /*planewise=*/true);
+  phase_resort("resort3_S1PF", tick, /*second=*/false, /*planewise=*/true);
   phase_fft("fft_x", tick);
-  phase_resort_sequential("resort4_S2PF", tick, /*planewise=*/true);
+  phase_resort("resort4_S2PF", tick, /*second=*/true, /*planewise=*/true);
 }
 
 }  // namespace papisim::fft

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,10 +10,6 @@
 #include "fft/resort.hpp"
 #include "gpu/gpu_device.hpp"
 #include "mpi/job_comm.hpp"
-
-namespace papisim::sim {
-class ThreadPool;
-}
 
 namespace papisim::fft {
 
@@ -37,12 +32,6 @@ struct Fft3dConfig {
   bool use_gpu = false;      ///< offload the 1D-FFT batches (cuFFT-style)
   bool prefetch = false;     ///< compile the re-sorts with -fprefetch-loop-arrays
   std::uint32_t ticks_per_phase = 6;  ///< sampler granularity
-  /// Replay the rank's OpenMP loops across this many simulated cores (and as
-  /// many host threads), starting at `core`.  1 = the seed's single-engine
-  /// replay, bit-exact.  >1 partitions the plane/element loops per core with
-  /// deferred per-core time and a max-merge clock advance per phase chunk;
-  /// totals are deterministic for a given value.
-  std::uint32_t replay_threads = 1;
 };
 
 /// One pipeline phase of the representative rank, with its traffic and the
@@ -64,7 +53,6 @@ class DistributedFft3d {
  public:
   DistributedFft3d(sim::Machine& machine, Fft3dConfig cfg,
                    gpu::GpuDevice* gpu = nullptr, mpi::JobComm* comm = nullptr);
-  ~DistributedFft3d();
 
   /// Run one forward transform; `tick` (if given) is invoked several times
   /// per phase so a Sampler can record the timeline.
@@ -75,28 +63,17 @@ class DistributedFft3d {
   RankDims dims() const { return dims_; }
 
  private:
-  void phase_resort_strided(const std::string& name,
-                            const std::function<void()>& tick,
-                            bool planewise = false);
-  void phase_resort_sequential(const std::string& name,
-                               const std::function<void()>& tick,
-                               bool planewise = false);
+  /// A re-sort phase: the first (S1CF/S1PF) or the `second` (S2CF/S2PF),
+  /// colwise or `planewise`, as one execute_all() batch of whole planes per
+  /// tick.
+  void phase_resort(const std::string& name, const std::function<void()>& tick,
+                    bool second, bool planewise);
   void phase_fft(const std::string& name, const std::function<void()>& tick);
   void phase_alltoall(const std::string& name, std::uint32_t participants,
                       const std::function<void()>& tick);
 
   PhaseStats& begin_phase(const std::string& name);
   void end_phase(PhaseStats& ph);
-
-  /// Replay planes [lo, hi) through `plane_body(engine, desc, plane, stats)`.
-  /// Serial (replay_threads = 1) runs the seed's exact single-engine loop;
-  /// parallel deals planes round-robin to the pool's engines in deferred-time
-  /// mode, max-merges their times, and sums their stats in core order.
-  void replay_planes(
-      std::uint64_t lo, std::uint64_t hi, const sim::LoopDesc& proto,
-      sim::LoopStats& out,
-      const std::function<void(sim::AccessEngine&, sim::LoopDesc&, std::uint64_t,
-                               sim::LoopStats&)>& plane_body);
 
   sim::Machine& machine_;
   Fft3dConfig cfg_;
@@ -105,7 +82,7 @@ class DistributedFft3d {
   ResortBuffers buf_;
   gpu::GpuDevice* gpu_;
   mpi::JobComm* comm_;
-  std::unique_ptr<sim::ThreadPool> replay_pool_;  ///< null when replay_threads = 1
+  std::vector<sim::LoopDesc> batch_;  ///< a re-sort tick's loops, reused
   std::vector<PhaseStats> phases_;
 };
 

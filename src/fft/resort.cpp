@@ -1,5 +1,6 @@
 #include "fft/resort.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace papisim::fft {
@@ -176,112 +177,120 @@ sim::LoopStats s1cf_nest2_replay(sim::Machine& m, std::uint32_t socket,
   return total;
 }
 
-sim::LoopStats s1cf_combined_replay(sim::Machine& m, std::uint32_t socket,
-                                    std::uint32_t core, const RankDims& d,
-                                    const ResortBuffers& buf, bool prefetch) {
-  // Listing 8: for plane / row { inner loop over col }:
-  //   load  in  (stride 16, sequential)
-  //   store out (stride planes*rows*16, strided)
-  sim::AccessEngine& eng = m.engine(socket, core);
-  sim::LoopStats total;
-  sim::LoopDesc inner;
-  inner.iterations = d.cols;
-  inner.sw_prefetch = prefetch;
-  inner.streams = {
-      {0, 16, 16, sim::AccessKind::Load},
-      {0, static_cast<std::int64_t>(d.planes * d.rows * 16), 16,
-       sim::AccessKind::Store},
-  };
-  for (std::uint64_t plane = 0; plane < d.planes; ++plane) {
-    for (std::uint64_t row = 0; row < d.rows; ++row) {
-      inner.streams[0].base = buf.in + (plane * d.rows + row) * d.cols * 16;
-      inner.streams[1].base = buf.out + (plane * d.rows + row) * 16;
-      total += eng.execute(inner);
+void s1_resort_loops(const RankDims& d, const ResortBuffers& buf, bool prefetch,
+                     bool planewise, std::uint64_t lo, std::uint64_t hi,
+                     std::vector<sim::LoopDesc>& loops) {
+  loops.resize((hi - lo) * d.rows);
+  // Colwise (S1CF) and planewise (S1PF) differ only in which output
+  // dimension is fastest; the store stride magnitude is the same.
+  const auto out_stride = static_cast<std::int64_t>(d.planes * d.rows * 16);
+  sim::LoopDesc* loop = loops.data();
+  for (std::uint64_t plane = lo; plane < hi; ++plane) {
+    for (std::uint64_t row = 0; row < d.rows; ++row, ++loop) {
+      loop->iterations = d.cols;
+      loop->flops_per_iter = 0.0;
+      loop->sw_prefetch = prefetch;
+      loop->streams = {
+          {buf.in + (plane * d.rows + row) * d.cols * 16, 16, 16, sim::AccessKind::Load},
+          {buf.out + (planewise ? row * d.planes + plane : plane * d.rows + row) * 16,
+           out_stride, 16, sim::AccessKind::Store},
+      };
     }
+  }
+}
+
+void s2_resort_loops(const S2Dims& d, const ResortBuffers& buf, bool prefetch,
+                     bool planewise, std::uint64_t lo, std::uint64_t hi,
+                     std::vector<sim::LoopDesc>& loops) {
+  loops.resize((hi - lo) * d.x * d.y);
+  sim::LoopDesc* loop = loops.data();
+  for (std::uint64_t plane = lo; plane < hi; ++plane) {
+    for (std::uint64_t xx = 0; xx < d.x; ++xx) {
+      for (std::uint64_t yy = 0; yy < d.y; ++yy, ++loop) {
+        // Input ordered [Y][PLANES][X][ROWS]; colwise (S2CF) vs planewise
+        // (S2PF) output ordering, both keeping the innermost dimension
+        // contiguous, so the stride is amortized.
+        const std::uint64_t out =
+            planewise ? ((xx * d.y + yy) * d.planes + plane) * d.rows
+                      : ((plane * d.x + xx) * d.y + yy) * d.rows;
+        loop->iterations = d.rows;
+        loop->flops_per_iter = 0.0;
+        loop->sw_prefetch = prefetch;
+        loop->streams = {
+            {buf.in + ((yy * d.planes + plane) * d.x + xx) * d.rows * 16, 16, 16,
+             sim::AccessKind::Load},
+            {buf.out + out * 16, 16, 16, sim::AccessKind::Store},
+        };
+      }
+    }
+  }
+}
+
+namespace {
+
+/// No tick to follow, so a replay submits as many planes per execute_all()
+/// batch as fit in about this many loops.
+constexpr std::uint64_t kBatchLoops = 4096;
+
+/// Replay a re-sort's `planes` planes of `loops_per_plane` loops each,
+/// batch by batch; `build(lo, hi, loops)` fills the loops of planes [lo, hi).
+template <class Build>
+sim::LoopStats replay_planes(sim::AccessEngine& eng, std::uint64_t planes,
+                             std::uint64_t loops_per_plane, const Build& build) {
+  const std::uint64_t per_batch = std::max<std::uint64_t>(1, kBatchLoops / loops_per_plane);
+  std::vector<sim::LoopDesc> loops;
+  sim::LoopStats total;
+  for (std::uint64_t lo = 0; lo < planes; lo += per_batch) {
+    build(lo, std::min(planes, lo + per_batch), loops);
+    eng.execute_all(loops, total);
   }
   return total;
 }
 
-sim::LoopStats s2cf_replay(sim::Machine& m, std::uint32_t socket,
-                           std::uint32_t core, const S2Dims& d,
-                           const ResortBuffers& buf, bool prefetch) {
-  // Listing 9: for plane / x / y { inner loop over row }: both streams are
-  // sequential within the inner loop (the stride is amortized).
-  sim::AccessEngine& eng = m.engine(socket, core);
-  sim::LoopStats total;
-  sim::LoopDesc inner;
-  inner.iterations = d.rows;
-  inner.sw_prefetch = prefetch;
-  inner.streams = {
-      {0, 16, 16, sim::AccessKind::Load},
-      {0, 16, 16, sim::AccessKind::Store},
-  };
-  for (std::uint64_t plane = 0; plane < d.planes; ++plane) {
-    for (std::uint64_t xx = 0; xx < d.x; ++xx) {
-      for (std::uint64_t yy = 0; yy < d.y; ++yy) {
-        inner.streams[0].base =
-            buf.in + (((yy * d.planes + plane) * d.x + xx) * d.rows) * 16;
-        inner.streams[1].base =
-            buf.out + (((plane * d.x + xx) * d.y + yy) * d.rows) * 16;
-        total += eng.execute(inner);
-      }
-    }
-  }
-  return total;
+sim::LoopStats replay_s1(sim::Machine& m, std::uint32_t socket, std::uint32_t core,
+                         const RankDims& d, const ResortBuffers& buf, bool prefetch,
+                         bool planewise) {
+  return replay_planes(m.engine(socket, core), d.planes, d.rows,
+                       [&](std::uint64_t lo, std::uint64_t hi,
+                           std::vector<sim::LoopDesc>& loops) {
+                         s1_resort_loops(d, buf, prefetch, planewise, lo, hi, loops);
+                       });
+}
+
+sim::LoopStats replay_s2(sim::Machine& m, std::uint32_t socket, std::uint32_t core,
+                         const S2Dims& d, const ResortBuffers& buf, bool prefetch,
+                         bool planewise) {
+  return replay_planes(m.engine(socket, core), d.planes, d.x * d.y,
+                       [&](std::uint64_t lo, std::uint64_t hi,
+                           std::vector<sim::LoopDesc>& loops) {
+                         s2_resort_loops(d, buf, prefetch, planewise, lo, hi, loops);
+                       });
+}
+
+}  // namespace
+
+sim::LoopStats s1cf_combined_replay(sim::Machine& m, std::uint32_t socket,
+                                    std::uint32_t core, const RankDims& d,
+                                    const ResortBuffers& buf, bool prefetch) {
+  return replay_s1(m, socket, core, d, buf, prefetch, /*planewise=*/false);
 }
 
 sim::LoopStats s1pf_combined_replay(sim::Machine& m, std::uint32_t socket,
                                     std::uint32_t core, const RankDims& d,
                                     const ResortBuffers& buf, bool prefetch) {
-  // for plane / row { inner loop over col }:
-  //   load  in[(plane*rows + row)*cols + col]            (stride 16, sequential)
-  //   store out[(col*rows + row)*planes + plane]         (stride rows*planes*16)
-  sim::AccessEngine& eng = m.engine(socket, core);
-  sim::LoopStats total;
-  sim::LoopDesc inner;
-  inner.iterations = d.cols;
-  inner.sw_prefetch = prefetch;
-  inner.streams = {
-      {0, 16, 16, sim::AccessKind::Load},
-      {0, static_cast<std::int64_t>(d.rows * d.planes * 16), 16,
-       sim::AccessKind::Store},
-  };
-  for (std::uint64_t plane = 0; plane < d.planes; ++plane) {
-    for (std::uint64_t row = 0; row < d.rows; ++row) {
-      inner.streams[0].base = buf.in + (plane * d.rows + row) * d.cols * 16;
-      inner.streams[1].base = buf.out + (row * d.planes + plane) * 16;
-      total += eng.execute(inner);
-    }
-  }
-  return total;
+  return replay_s1(m, socket, core, d, buf, prefetch, /*planewise=*/true);
+}
+
+sim::LoopStats s2cf_replay(sim::Machine& m, std::uint32_t socket,
+                           std::uint32_t core, const S2Dims& d,
+                           const ResortBuffers& buf, bool prefetch) {
+  return replay_s2(m, socket, core, d, buf, prefetch, /*planewise=*/false);
 }
 
 sim::LoopStats s2pf_replay(sim::Machine& m, std::uint32_t socket,
                            std::uint32_t core, const S2Dims& d,
                            const ResortBuffers& buf, bool prefetch) {
-  // Output ordered [X][Y][PLANES][ROWS]; inner loop over row is sequential
-  // on both sides, amortizing the outer-dimension stride (like S2CF).
-  sim::AccessEngine& eng = m.engine(socket, core);
-  sim::LoopStats total;
-  sim::LoopDesc inner;
-  inner.iterations = d.rows;
-  inner.sw_prefetch = prefetch;
-  inner.streams = {
-      {0, 16, 16, sim::AccessKind::Load},
-      {0, 16, 16, sim::AccessKind::Store},
-  };
-  for (std::uint64_t plane = 0; plane < d.planes; ++plane) {
-    for (std::uint64_t xx = 0; xx < d.x; ++xx) {
-      for (std::uint64_t yy = 0; yy < d.y; ++yy) {
-        inner.streams[0].base =
-            buf.in + (((yy * d.planes + plane) * d.x + xx) * d.rows) * 16;
-        inner.streams[1].base =
-            buf.out + (((xx * d.y + yy) * d.planes + plane) * d.rows) * 16;
-        total += eng.execute(inner);
-      }
-    }
-  }
-  return total;
+  return replay_s2(m, socket, core, d, buf, prefetch, /*planewise=*/true);
 }
 
 }  // namespace papisim::fft

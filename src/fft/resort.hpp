@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "mpi/grid.hpp"
 #include "sim/machine.hpp"
@@ -75,6 +76,23 @@ struct ResortBuffers {
   std::uint64_t in = 0, tmp = 0, out = 0;
   static ResortBuffers allocate(sim::AddressSpace& as, std::uint64_t bytes);
 };
+
+/// The inner loops of the first re-sort, for planes [lo, hi) in program
+/// order (for plane / row { inner loop over col }): sequential loads from
+/// in, strided stores to out -- S1CF (Listing 8), or S1PF when `planewise`
+/// (plane the fastest output dimension).  `loops` is resized to the loop
+/// count; its elements' storage is reused.
+void s1_resort_loops(const RankDims& d, const ResortBuffers& buf, bool prefetch,
+                     bool planewise, std::uint64_t lo, std::uint64_t hi,
+                     std::vector<sim::LoopDesc>& loops);
+
+/// The inner loops of the second re-sort, for planes [lo, hi) in program
+/// order (for plane / x / y { inner loop over row }): both sides sequential
+/// in the innermost dimension -- S2CF (Listing 9), or S2PF when `planewise`
+/// (output ordered [X][Y][PLANES][ROWS]).  `loops` as above.
+void s2_resort_loops(const S2Dims& d, const ResortBuffers& buf, bool prefetch,
+                     bool planewise, std::uint64_t lo, std::uint64_t hi,
+                     std::vector<sim::LoopDesc>& loops);
 
 /// Replay of Listing 5: sequential copy in -> tmp.  Without prefetch the
 /// stores bypass the cache (1 read, 1 write per element); with

@@ -1,9 +1,5 @@
 #include "qmc/qmc_app.hpp"
 
-#include <algorithm>
-
-#include "sim/thread_pool.hpp"
-
 namespace papisim::qmc {
 
 QmcApp::QmcApp(sim::Machine& machine, QmcConfig cfg, gpu::GpuDevice* gpu,
@@ -14,39 +10,6 @@ QmcApp::QmcApp(sim::Machine& machine, QmcConfig cfg, gpu::GpuDevice* gpu,
   const std::uint64_t walker_bytes =
       cfg_.walkers * cfg_.electrons * cfg_.electrons * 8 * 2;
   walker_addr_ = machine_.address_space().allocate(walker_bytes);
-  cfg_.replay_threads = std::max<std::uint32_t>(1, cfg_.replay_threads);
-  cfg_.replay_threads = std::min(cfg_.replay_threads,
-                                 machine_.cores_per_socket() - cfg_.core);
-  if (cfg_.replay_threads > 1) {
-    replay_pool_ = std::make_unique<sim::ThreadPool>(cfg_.replay_threads - 1);
-  }
-}
-
-QmcApp::~QmcApp() = default;
-
-void QmcApp::replay_walkers(
-    const std::function<void(sim::AccessEngine&, std::uint64_t, std::uint64_t)>&
-        body) {
-  const std::uint32_t nthreads = cfg_.replay_threads;
-  if (nthreads <= 1) {
-    body(machine_.engine(cfg_.socket, cfg_.core), 0, cfg_.walkers);
-    return;
-  }
-  for (std::uint32_t t = 0; t < nthreads; ++t) {
-    machine_.engine(cfg_.socket, cfg_.core + t).set_deferred_time(true);
-  }
-  replay_pool_->parallel_for(nthreads, [&](std::uint32_t t) {
-    const std::uint64_t lo = cfg_.walkers * t / nthreads;
-    const std::uint64_t hi = cfg_.walkers * (t + 1) / nthreads;
-    if (hi > lo) body(machine_.engine(cfg_.socket, cfg_.core + t), lo, hi);
-  });
-  double max_ns = 0.0;
-  for (std::uint32_t t = 0; t < nthreads; ++t) {
-    sim::AccessEngine& eng = machine_.engine(cfg_.socket, cfg_.core + t);
-    max_ns = std::max(max_ns, eng.take_deferred_time_ns());
-    eng.set_deferred_time(false);
-  }
-  machine_.advance(max_ns);
 }
 
 QmcPhase& QmcApp::begin_phase(const std::string& name) {
@@ -64,34 +27,25 @@ void QmcApp::vmc_step(bool drift) {
   const std::int64_t spline_stride =
       static_cast<std::int64_t>((cfg_.spline_table_bytes / moves) & ~63ull);
   const std::uint64_t upd_mult = drift ? 4 : 2;
-  replay_walkers([&](sim::AccessEngine& eng, std::uint64_t w_lo,
-                     std::uint64_t w_hi) {
-    const std::uint64_t span = (w_hi - w_lo) * cfg_.electrons;
-    sim::LoopDesc spline;
-    spline.iterations = span;
-    spline.flops_per_iter = drift ? 700.0 : 350.0;  // drift adds gradients
-    // Walk the table with a large prime-ish stride to touch distinct lines;
-    // each engine continues the stream at its walker sub-range's offset.
-    spline.streams = {
-        {spline_addr_ + (walker_cursor_ % 4096) * 64 +
-             w_lo * cfg_.electrons * static_cast<std::uint64_t>(spline_stride),
-         spline_stride, 8, sim::AccessKind::Load},
-    };
-    eng.execute(spline);
+  sim::LoopDesc spline;
+  spline.iterations = moves;
+  spline.flops_per_iter = drift ? 700.0 : 350.0;  // drift adds gradients
+  // Walk the table with a large prime-ish stride to touch distinct lines.
+  spline.streams = {
+      {spline_addr_ + (walker_cursor_ % 4096) * 64, spline_stride, 8,
+       sim::AccessKind::Load},
+  };
+  engine().execute(spline);
 
-    // Slater-matrix row updates: sequential read+write over walker state.
-    sim::LoopDesc update;
-    update.iterations = span * upd_mult;
-    update.flops_per_iter = 2.0 * cfg_.electrons;
-    update.streams = {
-        {walker_addr_ + w_lo * cfg_.electrons * upd_mult * 8, 8, 8,
-         sim::AccessKind::Load},
-        {walker_addr_ + cfg_.walkers * cfg_.electrons * 8 +
-             w_lo * cfg_.electrons * upd_mult * 8,
-         8, 8, sim::AccessKind::Store},
-    };
-    eng.execute(update);
-  });
+  // Slater-matrix row updates: sequential read+write over walker state.
+  sim::LoopDesc update;
+  update.iterations = moves * upd_mult;
+  update.flops_per_iter = 2.0 * cfg_.electrons;
+  update.streams = {
+      {walker_addr_, 8, 8, sim::AccessKind::Load},
+      {walker_addr_ + cfg_.walkers * cfg_.electrons * 8, 8, 8, sim::AccessKind::Store},
+  };
+  engine().execute(update);
 
   if (drift && gpu_ != nullptr) {
     // Drift VMC offloads the gradient batch to the GPU.
@@ -108,19 +62,13 @@ void QmcApp::dmc_step(std::uint32_t step) {
   if (gpu_ != nullptr) gpu_->run_kernel(3.0e9);
 
   // Branching: copy surviving walker states (sequential, store-dense).
-  replay_walkers([&](sim::AccessEngine& eng, std::uint64_t w_lo,
-                     std::uint64_t w_hi) {
-    sim::LoopDesc branch;
-    branch.iterations = (w_hi - w_lo) * cfg_.electrons;
-    branch.streams = {
-        {walker_addr_ + w_lo * cfg_.electrons * 16, 16, 16,
-         sim::AccessKind::Load},
-        {walker_addr_ + cfg_.walkers * cfg_.electrons * 16 +
-             w_lo * cfg_.electrons * 16,
-         16, 16, sim::AccessKind::Store},
-    };
-    eng.execute(branch);
-  });
+  sim::LoopDesc branch;
+  branch.iterations = cfg_.walkers * cfg_.electrons;
+  branch.streams = {
+      {walker_addr_, 16, 16, sim::AccessKind::Load},
+      {walker_addr_ + cfg_.walkers * cfg_.electrons * 16, 16, 16, sim::AccessKind::Store},
+  };
+  engine().execute(branch);
 
   if (comm_ != nullptr && step % cfg_.dmc_branch_interval == 0) {
     // Walker-population redistribution across ranks: the Fig. 12 network

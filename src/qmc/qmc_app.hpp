@@ -16,17 +16,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "gpu/gpu_device.hpp"
 #include "mpi/job_comm.hpp"
 #include "sim/machine.hpp"
-
-namespace papisim::sim {
-class ThreadPool;
-}
 
 namespace papisim::qmc {
 
@@ -41,11 +36,6 @@ struct QmcConfig {
   std::uint32_t dmc_steps = 20;
   std::uint32_t dmc_branch_interval = 4;  ///< steps between walker exchanges
   std::uint32_t ranks = 16;
-  /// Replay the walker loops across this many simulated cores (and as many
-  /// host threads), starting at `core`.  1 = the seed's single-engine replay,
-  /// bit-exact; >1 deals walker sub-ranges to per-core engines with deferred
-  /// time and a max-merge clock advance per step.
-  std::uint32_t replay_threads = 1;
 };
 
 struct QmcPhase {
@@ -61,7 +51,6 @@ class QmcApp {
  public:
   QmcApp(sim::Machine& machine, QmcConfig cfg, gpu::GpuDevice* gpu = nullptr,
          mpi::JobComm* comm = nullptr);
-  ~QmcApp();
 
   void run(const std::function<void()>& tick = {});
 
@@ -71,13 +60,7 @@ class QmcApp {
   void vmc_step(bool drift);
   void dmc_step(std::uint32_t step);
   QmcPhase& begin_phase(const std::string& name);
-
-  /// Deal walkers [0, cfg_.walkers) to the replay engines: `body(engine,
-  /// w_lo, w_hi)` replays one contiguous walker sub-range.  Serial
-  /// (replay_threads = 1) is one body call on the seed's engine, bit-exact;
-  /// parallel defers per-core time and max-merges after the join.
-  void replay_walkers(const std::function<void(sim::AccessEngine&, std::uint64_t,
-                                               std::uint64_t)>& body);
+  sim::AccessEngine& engine() { return machine_.engine(cfg_.socket, cfg_.core); }
 
   sim::Machine& machine_;
   QmcConfig cfg_;
@@ -86,7 +69,6 @@ class QmcApp {
   std::uint64_t spline_addr_ = 0;
   std::uint64_t walker_addr_ = 0;
   std::uint64_t walker_cursor_ = 0;
-  std::unique_ptr<sim::ThreadPool> replay_pool_;  ///< null when replay_threads = 1
   std::vector<QmcPhase> phases_;
 };
 

@@ -1,8 +1,10 @@
 #include "sim/access_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <stdexcept>
+#include <thread>
 
 namespace papisim::sim {
 
@@ -53,6 +55,10 @@ spe::HitLevel spe_level(L3Fabric::Source src) {
   return spe::HitLevel::Memory;
 }
 
+spe::AccessKind spe_kind(AccessKind kind) {
+  return kind == AccessKind::Load ? spe::AccessKind::Load : spe::AccessKind::Store;
+}
+
 /// First iteration > `cur_iter` at which the affine stream touches a line
 /// different from `cur_line`, or UINT64_MAX for stride 0.  Lines are
 /// 2^line_shift bytes.
@@ -79,7 +85,317 @@ std::uint64_t next_line_iter(std::uint64_t base, std::int64_t stride,
   return (base - boundary + s) / s;
 }
 
+std::uint64_t address_of(const StreamDesc& sd, std::uint64_t iter) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(sd.base) +
+                                    static_cast<std::int64_t>(iter) * sd.stride);
+}
+
+/// A stream whose line-delta is a constant of >= 2 lines (a stride that is
+/// a multiple of the line size and at least two lines): StreamDetector's
+/// Stride-N.
+bool strided_capable(const StreamDesc& sd, std::int64_t line) {
+  const std::int64_t abs_stride = sd.stride < 0 ? -sd.stride : sd.stride;
+  return abs_stride >= 2 * line && abs_stride % line == 0;
+}
+
+/// What a line touch does, decided before any outcome is known.
+enum class TouchOp : std::uint8_t { Load, PrefetchStore, Bypass, Store };
+
+/// The touch walk: every line touch of `loop` (non-empty, at most 16
+/// streams), in replay order, handed to `touch(sd, addr, line, op)`.  The
+/// walk counts what no outcome decides -- line_touches, allocated and
+/// bypassed store lines, and `stream_touches` per stream -- and `touch`
+/// performs the access.  execute() and each host thread of a sharded batch
+/// walk with it (DESIGN.md §3b).
+template <class Touch>
+void walk_touches(const MachineConfig& cfg, std::uint32_t line_shift,
+                  const LoopDesc& loop, LoopStats& stats,
+                  std::uint64_t* stream_touches, Touch&& touch) {
+  const std::size_t n = loop.streams.size();
+  // Store-density classification: how many load streams feed each store
+  // stream per iteration?  Dense, contiguous store streams are candidates
+  // for the cache bypass.
+  std::size_t load_streams = 0;
+  std::size_t store_streams = 0;
+  for (const StreamDesc& sd : loop.streams) {
+    (sd.kind == AccessKind::Load ? load_streams : store_streams) += 1;
+  }
+  const std::size_t loads_per_store =
+      store_streams == 0 ? ~std::size_t{0} : load_streams / store_streams;
+
+  bool bypass_ok[16];
+  enum : std::uint8_t { kEveryIter, kShift, kGeneral };
+  std::uint8_t stride_mode[16];
+  std::uint8_t stride_shift[16] = {};
+  // Stream detection, precomputed: execute() streams are affine, so the
+  // per-touch StreamDetector outcome is known in advance -- a
+  // strided_capable() stream is flagged "strided" after
+  // stream_detect_threshold deltas, i.e. from its (threshold+1)-th touch on.
+  // This is bit-exact with StreamDetector (verified by tests) and removes
+  // the detector from the hot loop.
+  bool strided[16];
+  std::uint64_t touch_count[16];
+  std::uint32_t strided_active = 0;
+  const std::int64_t line = cfg.line_bytes;
+  for (std::size_t k = 0; k < n; ++k) {
+    const StreamDesc& sd = loop.streams[k];
+    bypass_ok[k] = cfg.store_bypass && !loop.sw_prefetch &&
+                   sd.kind == AccessKind::Store &&
+                   sd.stride == static_cast<std::int64_t>(sd.elem_bytes) &&
+                   loads_per_store <= cfg.bypass_max_loads_per_store;
+    const std::int64_t abs_stride = sd.stride < 0 ? -sd.stride : sd.stride;
+    strided[k] = strided_capable(sd, line);
+    touch_count[k] = 0;
+    // Per-event line advance without a division:
+    //  * |stride| >= line: a new line every iteration;
+    //  * positive power-of-two stride < line: shift instead of divide;
+    //  * anything else: the general next_line_iter() path.
+    if (abs_stride >= line) {
+      stride_mode[k] = kEveryIter;
+    } else if (sd.stride > 0 && (sd.stride & (sd.stride - 1)) == 0) {
+      stride_mode[k] = kShift;
+      stride_shift[k] = 0;
+      while ((std::int64_t{1} << stride_shift[k]) < sd.stride) ++stride_shift[k];
+    } else {
+      stride_mode[k] = kGeneral;
+    }
+  }
+
+  // Per-stream replay cursors: the iteration of the next new-line touch.
+  std::uint64_t next_iter[16];
+  for (std::size_t k = 0; k < n; ++k) next_iter[k] = 0;
+  const std::uint64_t strided_from = std::uint64_t{cfg.stream_detect_threshold} + 1;
+
+  while (true) {
+    // Find the earliest pending line event (ties resolved in stream order,
+    // matching the textual order of accesses in the loop body).
+    std::size_t k = n;
+    std::uint64_t imin = loop.iterations;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (next_iter[j] < imin) {
+        imin = next_iter[j];
+        k = j;
+      }
+    }
+    if (k == n) break;
+
+    const StreamDesc& sd = loop.streams[k];
+    const std::uint64_t addr = address_of(sd, imin);
+    const std::uint64_t touched_line = addr >> line_shift;
+
+    if (strided[k] && ++touch_count[k] == strided_from) {
+      ++strided_active;
+    }
+    ++stats.line_touches;
+    ++stream_touches[k];
+
+    TouchOp op = TouchOp::Load;
+    if (sd.kind == AccessKind::Load) {
+    } else if (loop.sw_prefetch) {
+      op = TouchOp::PrefetchStore;
+      ++stats.allocated_store_lines;
+    } else if (bypass_ok[k] && strided_active == 0) {
+      op = TouchOp::Bypass;
+      ++stats.bypassed_store_lines;
+    } else {
+      op = TouchOp::Store;
+      ++stats.allocated_store_lines;
+    }
+    touch(sd, addr, touched_line, op);
+
+    switch (stride_mode[k]) {
+      case kEveryIter:
+        next_iter[k] = imin + 1;
+        break;
+      case kShift: {
+        // Iterations until the next line boundary: ceil(remaining / stride).
+        const std::uint64_t remaining = ((touched_line + 1) << line_shift) - addr;
+        next_iter[k] =
+            imin + ((remaining + (std::uint64_t{1} << stride_shift[k]) - 1) >>
+                    stride_shift[k]);
+        break;
+      }
+      default:
+        next_iter[k] = next_line_iter(sd.base, sd.stride, imin, touched_line, line_shift);
+    }
+  }
+}
+
+/// How many line touches walk_touches() visits in `loop`: a stride of at
+/// least a line touches a new line every iteration, a shorter one every line
+/// between its first and last address, a zero stride one line.
+std::uint64_t touches_of(const LoopDesc& loop, std::uint32_t line_shift) {
+  if (loop.iterations == 0) return 0;
+  std::uint64_t n = 0;
+  for (const StreamDesc& sd : loop.streams) {
+    const std::uint64_t abs_stride =
+        static_cast<std::uint64_t>(sd.stride < 0 ? -sd.stride : sd.stride);
+    if (sd.stride == 0) {
+      n += 1;
+    } else if (abs_stride >> line_shift != 0) {
+      n += loop.iterations;
+    } else {
+      const std::uint64_t first = sd.base >> line_shift;
+      const std::uint64_t last = address_of(sd, loop.iterations - 1) >> line_shift;
+      n += (last > first ? last - first : first - last) + 1;
+    }
+  }
+  return n;
+}
+
+/// Stride mix (StreamDetector taxonomy): a non-zero stride below two lines
+/// advances line-by-line (sequential); strided_capable streams are Stride-N.
+void stride_mix(const LoopDesc& loop, std::int64_t line,
+                const std::uint64_t* stream_touches, LoopStats& stats) {
+  for (std::size_t k = 0; k < loop.streams.size(); ++k) {
+    const StreamDesc& sd = loop.streams[k];
+    if (sd.stride == 0) continue;
+    (strided_capable(sd, line) ? stats.strided_line_touches : stats.seq_line_touches) +=
+        stream_touches[k];
+  }
+}
+
+/// Perform a touch's `op` on `line` through `target` (a StripeHandle, or
+/// one shard's view of it); returns where a demand access found the line
+/// (Memory for a bypassed store, which account() then ignores).
+template <class Target>
+L3Fabric::Source perform(Target& target, TouchOp op, std::uint64_t line) {
+  switch (op) {
+    case TouchOp::Load:
+      return target.load(line);
+    case TouchOp::PrefetchStore: {
+      // dcbtst: prefetch the target line into L3, then the store hits it.
+      // The sample's hit level reports where the prefetch found the line.
+      const L3Fabric::Source src = target.prefetch(line);
+      target.store(line);
+      return src;
+    }
+    case TouchOp::Bypass:
+      // Streaming store: bypass the cache, write the full line to memory.
+      target.write_through(line);
+      return L3Fabric::Source::Memory;
+    case TouchOp::Store:
+      break;
+  }
+  return target.store(line);
+}
+
+/// One host thread's view of a sharded batch's stripe hold: the accesses of
+/// its own slice set `set`, counted in its own Shard.
+struct ShardTarget {
+  const L3Fabric::StripeHandle& stripe;
+  L3Fabric::Shard& shard;
+  std::uint64_t set;
+
+  L3Fabric::Source load(std::uint64_t line) {
+    return stripe.shard_access(shard, set, line, /*make_dirty=*/false);
+  }
+  L3Fabric::Source prefetch(std::uint64_t line) { return load(line); }
+  L3Fabric::Source store(std::uint64_t line) {
+    return stripe.shard_access(shard, set, line, /*make_dirty=*/true);
+  }
+  void write_through(std::uint64_t line) { stripe.shard_write_through(shard, line); }
+};
+
+/// A sample a shard found among its own touches, recorded by the batch's
+/// thread afterwards.
+struct PendingSample {
+  std::uint64_t addr;
+  std::int64_t stride;
+  std::uint32_t loop;
+  spe::AccessKind kind;
+  spe::HitLevel level;
+};
+
+/// The host threads of the set-sharded replay (DESIGN.md §3b): shards() - 1
+/// workers, started on the first batch, plus the thread that submits it.
+/// One per process, shared by every engine, one batch at a time (claim()).
+/// Idle workers block on a futex; a batch wakes them and waits for all.
+/// The claimer also owns the batch scratch, whose storage grows only on
+/// the submitting thread, so no worker allocates.
+class ShardPool {
+ public:
+  static constexpr std::uint32_t kMaxShards = 8;
+
+  static ShardPool& get() {
+    static ShardPool pool;
+    return pool;
+  }
+
+  std::uint32_t shards() const { return shards_; }
+
+  /// Take the pool for one batch; false while another batch has it.
+  bool claim() { return !busy_.exchange(true, std::memory_order_acquire); }
+  void release() { busy_.store(false, std::memory_order_release); }
+
+  /// Run fn(s) for every shard s, fn(0) on the calling thread (which must
+  /// have claimed the pool); returns when all have returned.
+  template <class F>
+  void run(F& fn) {
+    ctx_ = &fn;
+    call_ = [](void* ctx, std::uint32_t s) { (*static_cast<F*>(ctx))(s); };
+    if (threads_.empty()) {
+      threads_.reserve(shards_ - 1);
+      for (std::uint32_t s = 1; s < shards_; ++s) {
+        threads_.emplace_back([this, s] { work(s); });
+      }
+    }
+    pending_.store(shards_ - 1, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    call_(ctx_, 0);
+    for (std::uint32_t left = pending_.load(std::memory_order_acquire); left != 0;
+         left = pending_.load(std::memory_order_acquire)) {
+      pending_.wait(left, std::memory_order_acquire);
+    }
+  }
+
+  /// Shard s's stats of loop i at [s * loops + i].
+  std::vector<LoopStats> stats;
+  /// Shard s's counts; a line of its own, so shards never share one.
+  struct alignas(64) Tally {
+    L3Fabric::Shard shard;
+  };
+  std::vector<Tally> tallies;
+  /// The batch's samples in access order; each is written by its owner.
+  std::vector<PendingSample> samples;
+
+ private:
+  ShardPool()
+      : shards_(std::clamp<std::uint32_t>(std::thread::hardware_concurrency(), 1,
+                                          kMaxShards)) {}
+  ~ShardPool() {
+    stopping_ = true;
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  void work(std::uint32_t s) {
+    std::uint32_t seen = 0;
+    while (true) {
+      generation_.wait(seen, std::memory_order_acquire);
+      seen = generation_.load(std::memory_order_acquire);
+      if (stopping_) return;
+      call_(ctx_, s);
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) pending_.notify_one();
+    }
+  }
+
+  const std::uint32_t shards_;
+  std::atomic<bool> busy_{false};
+  std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> pending_{0};
+  // Written before generation_ is bumped, read after it is seen.
+  void* ctx_ = nullptr;
+  void (*call_)(void*, std::uint32_t) = nullptr;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
+
 }  // namespace
+
+std::uint32_t AccessEngine::shard_threads() { return ShardPool::get().shards(); }
 
 AccessEngine::StreamKey AccessEngine::key_of(const StreamDesc& sd) const {
   const bool whole_lines = (sd.stride & ((std::int64_t{1} << line_shift_) - 1)) == 0;
@@ -105,67 +421,12 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
   if (n == 0 || loop.iterations == 0) return stats;
   if (n > 16) throw std::invalid_argument("AccessEngine: too many streams in one loop");
 
-  // Store-density classification: how many load streams feed each store
-  // stream per iteration?  Dense, contiguous store streams are candidates
-  // for the cache bypass.
-  std::size_t load_streams = 0;
-  std::size_t store_streams = 0;
-  for (const StreamDesc& sd : loop.streams) {
-    (sd.kind == AccessKind::Load ? load_streams : store_streams) += 1;
-  }
-  const std::size_t loads_per_store =
-      store_streams == 0 ? ~std::size_t{0} : load_streams / store_streams;
-
-  bool bypass_ok[16];
-  enum : std::uint8_t { kEveryIter, kShift, kGeneral };
-  std::uint8_t stride_mode[16];
-  std::uint8_t stride_shift[16] = {};
-  // Stream detection, precomputed: execute() streams are affine, so the
-  // per-touch StreamDetector outcome is known in advance -- a stream whose
-  // line-delta is a constant of >= 2 lines (stride a multiple of the line
-  // size and at least two lines) is flagged "strided" after
-  // stream_detect_threshold deltas, i.e. from its (threshold+1)-th touch on.
-  // This is bit-exact with StreamDetector (verified by tests) and removes
-  // the detector from the hot loop.
-  bool strided_capable[16];
-  std::uint64_t touch_count[16];
   std::uint64_t stream_touches[16] = {};  // per-stream totals for the stride mix
-  std::uint32_t strided_active = 0;
-  const std::int64_t line = cfg_.line_bytes;
-  for (std::size_t k = 0; k < n; ++k) {
-    const StreamDesc& sd = loop.streams[k];
-    bypass_ok[k] = cfg_.store_bypass && !loop.sw_prefetch &&
-                   sd.kind == AccessKind::Store &&
-                   sd.stride == static_cast<std::int64_t>(sd.elem_bytes) &&
-                   loads_per_store <= cfg_.bypass_max_loads_per_store;
-    const std::int64_t abs_stride = sd.stride < 0 ? -sd.stride : sd.stride;
-    strided_capable[k] = abs_stride >= 2 * line && abs_stride % line == 0;
-    touch_count[k] = 0;
-    // Per-event line advance without a division:
-    //  * |stride| >= line: a new line every iteration;
-    //  * positive power-of-two stride < line: shift instead of divide;
-    //  * anything else: the general next_line_iter() path.
-    if (abs_stride >= line) {
-      stride_mode[k] = kEveryIter;
-    } else if (sd.stride > 0 && (sd.stride & (sd.stride - 1)) == 0) {
-      stride_mode[k] = kShift;
-      stride_shift[k] = 0;
-      while ((std::int64_t{1} << stride_shift[k]) < sd.stride) ++stride_shift[k];
-    } else {
-      stride_mode[k] = kGeneral;
-    }
-  }
-
   // Precise-event sampling (DESIGN.md §3g): one timestamp per execute() --
   // samples are joined against phase boundaries, which are orders of
   // magnitude coarser than a loop replay.
   spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
   const std::uint64_t spe_t_ns = spe != nullptr ? spe_time_ns() : 0;
-
-  // Per-stream replay cursors: the iteration of the next new-line touch.
-  std::uint64_t next_iter[16];
-  for (std::size_t k = 0; k < n; ++k) next_iter[k] = 0;
-  const std::uint64_t strided_from = std::uint64_t{cfg_.stream_detect_threshold} + 1;
 
   {
     // One stripe acquisition for the whole loop: one thread replays each
@@ -183,81 +444,20 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
       ++counters_.repeated_loops;
     } else {
       const std::uint64_t slice_hits0 = stripe.slice_hits();
-      while (true) {
-        // Find the earliest pending line event (ties resolved in stream order,
-        // matching the textual order of accesses in the loop body).
-        std::size_t k = n;
-        std::uint64_t imin = loop.iterations;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (next_iter[j] < imin) {
-            imin = next_iter[j];
-            k = j;
-          }
-        }
-        if (k == n) break;
-
-        const StreamDesc& sd = loop.streams[k];
-        const std::uint64_t addr =
-            static_cast<std::uint64_t>(static_cast<std::int64_t>(sd.base) +
-                                       static_cast<std::int64_t>(imin) * sd.stride);
-        const std::uint64_t touched_line = line_of(addr);
-
-        if (strided_capable[k] && ++touch_count[k] == strided_from) {
-          ++strided_active;
-        }
-        ++stats.line_touches;
-        ++stream_touches[k];
-
-        L3Fabric::Source src = L3Fabric::Source::Memory;
-        bool bypassed = false;
-        if (sd.kind == AccessKind::Load) {
-          src = stripe.load(touched_line);
-          account(stats, src);
-        } else if (loop.sw_prefetch) {
-          // dcbtst: prefetch the target line into L3, then the store hits it.
-          // The sample's hit level reports where the prefetch found the line.
-          src = stripe.prefetch(touched_line);
-          account(stats, src);
-          stripe.store(touched_line);
-          ++stats.allocated_store_lines;
-        } else if (bypass_ok[k] && strided_active == 0) {
-          // Streaming store: bypass the cache, write the full line to memory.
-          stripe.write_through(touched_line);
-          ++stats.bypassed_store_lines;
-          bypassed = true;
-        } else {
-          src = stripe.store(touched_line);
-          account(stats, src);
-          ++stats.allocated_store_lines;
-        }
-
-        if constexpr (spe::kEnabled) {
-          if (spe != nullptr) {
-            spe->on_access(addr,
-                           sd.kind == AccessKind::Load ? spe::AccessKind::Load
-                                                       : spe::AccessKind::Store,
-                           bypassed ? spe::HitLevel::Bypass : spe_level(src),
-                           sd.stride, spe_t_ns);
-          }
-        }
-
-        switch (stride_mode[k]) {
-          case kEveryIter:
-            next_iter[k] = imin + 1;
-            break;
-          case kShift: {
-            // Iterations until the next line boundary: ceil(remaining / stride).
-            const std::uint64_t remaining = bytes_of(touched_line + 1) - addr;
-            next_iter[k] =
-                imin + ((remaining + (std::uint64_t{1} << stride_shift[k]) - 1) >>
-                        stride_shift[k]);
-            break;
-          }
-          default:
-            next_iter[k] =
-                next_line_iter(sd.base, sd.stride, imin, touched_line, line_shift_);
-        }
-      }
+      walk_touches(cfg_, line_shift_, loop, stats, stream_touches,
+                   [&](const StreamDesc& sd, std::uint64_t addr, std::uint64_t line,
+                       TouchOp op) {
+                     const L3Fabric::Source src = perform(stripe, op, line);
+                     account(stats, src);
+                     if constexpr (spe::kEnabled) {
+                       if (spe != nullptr) {
+                         spe->on_access(addr, spe_kind(sd.kind),
+                                        op == TouchOp::Bypass ? spe::HitLevel::Bypass
+                                                              : spe_level(src),
+                                        sd.stride, spe_t_ns);
+                       }
+                     }
+                   });
       stats.mem_read_bytes = bytes_of(stripe.lines(MemDir::Read));
       stats.mem_write_bytes = bytes_of(stripe.lines(MemDir::Write));
       // Every touch hit and none bypassed, so every slice access hit (a
@@ -281,14 +481,13 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
     }
   }  // the stripe is released here, publishing the loop's memory lines
 
+  stride_mix(loop, cfg_.line_bytes, stream_touches, stats);
+  finish(loop, stats);
+  return stats;
+}
+
+void AccessEngine::finish(const LoopDesc& loop, LoopStats& stats) {
   stats.flops = static_cast<double>(loop.iterations) * loop.flops_per_iter;
-  // Stride mix (StreamDetector taxonomy): a non-zero stride below two lines
-  // advances line-by-line (sequential); strided_capable streams are Stride-N.
-  for (std::size_t k = 0; k < n; ++k) {
-    if (loop.streams[k].stride == 0) continue;
-    (strided_capable[k] ? stats.strided_line_touches : stats.seq_line_touches) +=
-        stream_touches[k];
-  }
 
   // Coarse virtual-time model: the loop is limited by the slowest of
   // compute, memory bandwidth, and cache throughput.
@@ -314,7 +513,136 @@ LoopStats AccessEngine::execute(const LoopDesc& loop) {
   counters_.seq_line_touches += stats.seq_line_touches;
   counters_.strided_line_touches += stats.strided_line_touches;
   counters_.busy_ns += stats.time_ns;
-  return stats;
+}
+
+void AccessEngine::execute_all(std::span<const LoopDesc> loops, LoopStats& total) {
+  if (replay_sharded(loops, total)) return;
+  for (const LoopDesc& loop : loops) total += execute(loop);
+}
+
+bool AccessEngine::replay_sharded(std::span<const LoopDesc> loops, LoopStats& total) {
+  ShardPool& pool = ShardPool::get();
+  const std::uint32_t shards = pool.shards();
+  // Unlocked reads: the capacities change only while no replay is in flight.
+  if (shards < 2 || l3_.slice(core_).sets() == 0 ||
+      l3_.victim_store(core_).capacity_lines() != 0) {
+    return false;
+  }
+  std::uint64_t touches = 0;
+  std::uint64_t replayed = 0;  // loops with a touch
+  for (const LoopDesc& loop : loops) {
+    if (loop.streams.size() > 16) return false;  // execute() throws at that loop
+    const std::uint64_t t = touches_of(loop, line_shift_);
+    touches += t;
+    replayed += t != 0;
+  }
+  if (touches < kShardMinTouches || !pool.claim()) return false;
+  struct Release {
+    ShardPool& pool;
+    ~Release() { pool.release(); }
+  } release{pool};
+
+  spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
+  const spe::CoreSampler::Cursor cursor0 = spe != nullptr ? spe->cursor()
+                                                          : spe::CoreSampler::Cursor{};
+  // Every sample gap is at least ceil(period / 2), so this bounds the
+  // batch's samples.
+  const std::uint64_t max_samples =
+      spe != nullptr ? touches / (spe->period() - spe->period() / 2) + 1 : 0;
+  const std::size_t nloops = loops.size();
+  if (pool.stats.size() < shards * nloops) pool.stats.resize(shards * nloops);
+  pool.tallies.assign(shards, ShardPool::Tally{});
+  if (pool.samples.size() < max_samples) pool.samples.resize(max_samples);
+  spe::CoreSampler::Cursor cursor_end = cursor0;
+  std::uint64_t sampled = 0;
+
+  {
+    L3Fabric::StripeHandle stripe = l3_.hold(core_);
+    stripe.prepare_shards();
+    const std::uint64_t sets = stripe.slice_sets();
+    // Shard s owns the contiguous sets [sets * s / shards, sets * (s + 1) /
+    // shards) and performs just the touches that map there; it walks every
+    // touch, so it also knows which of them the sampler picks.
+    auto shard_replay = [&](std::uint32_t s) {
+      const std::uint64_t lo = sets * s / shards;
+      const std::uint64_t width = sets * (s + 1) / shards - lo;
+      L3Fabric::Shard& shard = pool.tallies[s].shard;
+      spe::CoreSampler::Cursor cursor = cursor0;
+      std::uint64_t next_sample = 0;
+      for (std::size_t i = 0; i < nloops; ++i) {
+        const LoopDesc& loop = loops[i];
+        if (loop.streams.empty() || loop.iterations == 0) continue;
+        LoopStats stats;
+        std::uint64_t stream_touches[16] = {};
+        const std::uint64_t read0 = shard.lines(MemDir::Read);
+        const std::uint64_t write0 = shard.lines(MemDir::Write);
+        walk_touches(
+            cfg_, line_shift_, loop, stats, stream_touches,
+            [&](const StreamDesc& sd, std::uint64_t addr, std::uint64_t line, TouchOp op) {
+              const std::uint64_t set = stripe.slice_set(line);
+              const bool mine = set - lo < width;
+              L3Fabric::Source src = L3Fabric::Source::Memory;
+              if (mine) {
+                ShardTarget target{stripe, shard, set};
+                src = perform(target, op, line);
+                account(stats, src);
+              }
+              if constexpr (spe::kEnabled) {
+                if (spe != nullptr && spe->step(cursor)) {
+                  if (mine) {
+                    pool.samples[next_sample] = PendingSample{
+                        addr, sd.stride, static_cast<std::uint32_t>(i), spe_kind(sd.kind),
+                        op == TouchOp::Bypass ? spe::HitLevel::Bypass : spe_level(src)};
+                  }
+                  ++next_sample;
+                }
+              }
+            });
+        stats.mem_read_bytes = bytes_of(shard.lines(MemDir::Read) - read0);
+        stats.mem_write_bytes = bytes_of(shard.lines(MemDir::Write) - write0);
+        stride_mix(loop, cfg_.line_bytes, stream_touches, stats);
+        pool.stats[s * nloops + i] = stats;
+      }
+      if (s == 0) {
+        cursor_end = cursor;
+        sampled = next_sample;
+      }
+    };
+    pool.run(shard_replay);
+    for (const ShardPool::Tally& t : pool.tallies) stripe.merge(t.shard);
+    stripe.count_acquisitions(replayed - 1);
+  }  // the stripe is released here, publishing the batch's memory lines
+
+  // Per loop, in order, what execute() does after its touch walk.  Shard 0
+  // carries the counts no outcome decides; the outcomes add up over shards.
+  std::uint64_t next_sample = 0;
+  for (std::size_t i = 0; i < nloops; ++i) {
+    const LoopDesc& loop = loops[i];
+    if (loop.streams.empty() || loop.iterations == 0) continue;
+    if constexpr (spe::kEnabled) {
+      if (spe != nullptr) {
+        const std::uint64_t t_ns = spe_time_ns();
+        for (; next_sample < sampled && pool.samples[next_sample].loop == i; ++next_sample) {
+          const PendingSample& p = pool.samples[next_sample];
+          spe->record(p.addr, p.kind, p.level, p.stride, t_ns);
+        }
+      }
+    }
+    LoopStats stats = pool.stats[i];
+    for (std::uint32_t s = 1; s < shards; ++s) {
+      const LoopStats& part = pool.stats[s * nloops + i];
+      stats.l3_hits += part.l3_hits;
+      stats.victim_hits += part.victim_hits;
+      stats.mem_read_bytes += part.mem_read_bytes;
+      stats.mem_write_bytes += part.mem_write_bytes;
+    }
+    finish(loop, stats);
+    total += stats;
+    ++counters_.sharded_loops;
+  }
+  if (spe != nullptr) spe->advance(touches, cursor_end);
+  memo_.valid = false;
+  return true;
 }
 
 void AccessEngine::load(std::uint64_t addr, std::uint32_t bytes) {

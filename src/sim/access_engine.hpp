@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -70,6 +71,8 @@ struct CoreCounters {
   /// execute() passes taken from the repeat memo instead of being replayed
   /// (their touches and hits are counted above like replayed ones).
   std::uint64_t repeated_loops = 0;
+  /// Loops execute_all() replayed set-sharded across host threads.
+  std::uint64_t sharded_loops = 0;
   double busy_ns = 0.0;            ///< time this core spent executing
 
   std::uint64_t l3_misses() const { return line_touches - l3_hits - victim_hits; }
@@ -111,6 +114,8 @@ struct CoreCounters {
 /// global counters, so concurrent cores cannot leak into each other's
 /// statistics.  Cache-line aligned: each core's engine writes its own
 /// counters on every replay, and two engines must never share a line.
+/// execute_all() may spread one engine's batch over the process's shard
+/// threads; its caller is still the one driving thread.
 class alignas(64) AccessEngine {
  public:
   /// Throws std::invalid_argument unless cfg.line_bytes is a power of two
@@ -120,6 +125,26 @@ class alignas(64) AccessEngine {
 
   /// Replay a full innermost-loop nest execution.
   LoopStats execute(const LoopDesc& loop);
+
+  /// Replay `loops` in order, adding each one's stats to `total`.  Equal,
+  /// bit for bit, to `for (const LoopDesc& l : loops) total += execute(l);`
+  /// in every stat, counter, tag, channel count, clock and noise step and
+  /// SPE sample it leaves; only the bookkeeping of how differs
+  /// (repeated_loops, sharded_loops).  When the core has no victim store,
+  /// every slice set is an independent LRU, so a batch of at least
+  /// kShardMinTouches line touches is replayed set-sharded: each of
+  /// shard_threads() host threads walks the whole batch and performs the
+  /// touches of its own contiguous range of sets, and the outcomes, which
+  /// are sums, are merged per loop (DESIGN.md §3b).  Otherwise -- a victim
+  /// store, a small batch, or another thread's batch in flight -- it runs
+  /// that loop.
+  void execute_all(std::span<const LoopDesc> loops, LoopStats& total);
+
+  /// Fewest line touches a batch needs to go set-sharded.
+  static constexpr std::uint64_t kShardMinTouches = 1 << 14;
+  /// Host threads a set-sharded batch runs on (1: execute_all never
+  /// shards): the host's hardware threads, at most 8.
+  static std::uint32_t shard_threads();
 
   /// Scalar accesses (used for sparse stores such as y[i]/C[i][j] and by
   /// tests).  Scalar stores never bypass: the hardware cannot prove density.
@@ -193,10 +218,17 @@ class alignas(64) AccessEngine {
   /// True when memo_ holds a pass of `loop` taken at this slice epoch.
   bool repeats(const LoopDesc& loop, std::uint64_t slice_epoch) const;
 
+  /// What execute() does after its touch walk and stride mix: flops, the
+  /// time model, the clock and noise (or deferred time), the counters.
+  void finish(const LoopDesc& loop, LoopStats& stats);
+  /// execute_all()'s set-sharded replay; false, having done nothing, when
+  /// the batch must run loop by loop.
+  bool replay_sharded(std::span<const LoopDesc> loops, LoopStats& total);
+
   std::uint64_t line_of(std::uint64_t addr) const { return addr >> line_shift_; }
   /// Bytes in `lines` lines, which is also the first address of line `lines`.
   std::uint64_t bytes_of(std::uint64_t lines) const { return lines << line_shift_; }
-  void account(LoopStats& s, L3Fabric::Source src);
+  static void account(LoopStats& s, L3Fabric::Source src);
 
   const MachineConfig& cfg_;
   std::uint32_t core_;

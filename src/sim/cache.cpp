@@ -23,20 +23,22 @@ CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t associativity,
 }
 
 CacheLevel::Result CacheLevel::fill(std::size_t base, std::uint64_t line, bool dirty) {
-  ++misses_;
+  ++counts_.misses;
   if (sets_ == 0) return Result{};  // zero capacity: nothing is retained
-  ++epoch_;
-  if (tags_.empty()) [[unlikely]] {
-    tags_.assign(static_cast<std::size_t>(sets_) * assoc_, kInvalid);
-  }
+  ++counts_.epoch;
+  allocate();
   // Every way is empty, so way 0 is the whole recency order.
   tags_[base] = (line << 1) | std::uint64_t{dirty};
-  ++valid_count_;
+  ++counts_.valid;
   return Result{};
 }
 
+void CacheLevel::allocate() {
+  if (tags_.empty()) tags_.assign(static_cast<std::size_t>(sets_) * assoc_, kInvalid);
+}
+
 bool CacheLevel::contains(std::uint64_t line) const {
-  if (valid_count_ == 0) return false;
+  if (counts_.valid == 0) return false;
   const std::uint64_t* tags = tags_.data() + set_base(line);
   const std::uint64_t key = (line << 1) | 1;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
@@ -47,7 +49,7 @@ bool CacheLevel::contains(std::uint64_t line) const {
 
 CacheLevel::Invalidated CacheLevel::invalidate(std::uint64_t line) {
   Invalidated out;
-  if (valid_count_ == 0) return out;
+  if (counts_.valid == 0) return out;
   std::uint64_t* tags = tags_.data() + set_base(line);
   const std::uint64_t key = (line << 1) | 1;
   for (std::uint32_t w = 0; w < assoc_; ++w) {
@@ -57,8 +59,8 @@ CacheLevel::Invalidated CacheLevel::invalidate(std::uint64_t line) {
       // Compact the recency order: shift older entries up one way.
       for (std::uint32_t j = w; j + 1 < assoc_; ++j) tags[j] = tags[j + 1];
       tags[assoc_ - 1] = kInvalid;
-      --valid_count_;
-      ++epoch_;
+      --counts_.valid;
+      ++counts_.epoch;
       return out;
     }
   }
@@ -66,15 +68,15 @@ CacheLevel::Invalidated CacheLevel::invalidate(std::uint64_t line) {
 }
 
 void CacheLevel::flush(const std::function<void(std::uint64_t, bool)>& sink) {
-  if (valid_count_ == 0) return;
-  ++epoch_;
+  if (counts_.valid == 0) return;
+  ++counts_.epoch;
   for (std::uint64_t& word : tags_) {
     if (word != kInvalid) {
       sink(word >> 1, (word & 1) != 0);
       word = kInvalid;
     }
   }
-  valid_count_ = 0;
+  counts_.valid = 0;
 }
 
 }  // namespace papisim::sim

@@ -76,41 +76,41 @@ class CacheLevel {
   Result access(std::uint64_t line, bool make_dirty) {
     assert(line < kLineLimit);
     const std::size_t base = set_base(line);
-    if (valid_count_ == 0) [[unlikely]] return fill(base, line, make_dirty);
-    std::uint64_t* const tags = tags_.data() + base;
-    const std::uint64_t key = (line << 1) | 1;
-    std::uint64_t carry = tags[0];
-    if ((carry | 1) == key) {
-      const std::uint64_t word = carry | std::uint64_t{make_dirty};
-      if (word != carry) {
-        tags[0] = word;
-        ++epoch_;  // a store dirtied the clean MRU line
-      }
-      ++hits_;
-      return Result{.hit = true};
-    }
-    ++epoch_;  // anything past the MRU way moves the recency order
-    // Unrolled by four: a miss walks every way (19 for the L3 slice).
-#pragma GCC unroll 4
-    for (std::uint32_t w = 1; w < assoc_; ++w) {
-      const std::uint64_t word = tags[w];
-      tags[w] = carry;
-      if ((word | 1) == key) {
-        tags[0] = word | std::uint64_t{make_dirty};
-        ++hits_;
-        return Result{.hit = true};
-      }
-      carry = word;
-    }
-    tags[0] = (line << 1) | std::uint64_t{make_dirty};
-    ++misses_;
-    if (carry == kInvalid) {
-      ++valid_count_;
-      return Result{};
-    }
-    return Result{.evicted = true,
-                  .victim_line = carry >> 1,
-                  .victim_dirty = (carry & 1) != 0};
+    if (counts_.valid == 0) [[unlikely]] return fill(base, line, make_dirty);
+    return walk(base, line, make_dirty, counts_);
+  }
+
+  /// What access() counts besides the tags: hits, misses, valid lines and
+  /// the epoch.
+  struct Counts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t valid = 0;
+    std::uint64_t epoch = 0;
+  };
+
+  /// access() of a line the caller knows to map to `set` (set_index(line)),
+  /// counting into `counts` instead of this cache's own counts.  Threads
+  /// that each keep to their own sets may call it concurrently; merge()
+  /// then adds their counts (the set-sharded replay, DESIGN.md §3b).  The
+  /// storage must exist (allocate()).  On a set with no valid line the walk
+  /// leaves what fill() would.
+  Result access_in_set(std::uint64_t set, std::uint64_t line, bool make_dirty,
+                       Counts& counts) {
+    assert(line < kLineLimit && !tags_.empty());
+    return walk(static_cast<std::size_t>(set) * assoc_, line, make_dirty, counts);
+  }
+
+  /// Allocate the tag storage now if no fill has yet (a no-op for zero
+  /// capacity).  Changes no count and no epoch.
+  void allocate();
+
+  /// Add counts gathered by access_in_set().
+  void merge(const Counts& c) {
+    counts_.hits += c.hits;
+    counts_.misses += c.misses;
+    counts_.valid += c.valid;
+    counts_.epoch += c.epoch;
   }
 
   /// Lookup without fill or replacement-state change.
@@ -152,7 +152,7 @@ class CacheLevel {
   std::uint32_t associativity() const { return assoc_; }
   std::uint32_t sets() const { return sets_; }
   std::uint64_t capacity_lines() const { return static_cast<std::uint64_t>(sets_) * assoc_; }
-  std::uint64_t valid_lines() const { return valid_count_; }
+  std::uint64_t valid_lines() const { return counts_.valid; }
 
   /// The set `line` maps to in a cache of `sets` > 0 sets -- the mapping
   /// every instance applies, from precomputed constants.  A hashed cache
@@ -166,20 +166,66 @@ class CacheLevel {
     return fastmod(line, ~0ull / sets + 1, sets);
   }
 
+  /// The set `line` maps to in this cache: set_of(line, sets(), hashed)
+  /// without a divide.  Only meaningful when sets() > 0.
+  std::uint64_t set_index(std::uint64_t line) const {
+    if (hashed_sets_) line = mix(line);
+    return pow2_sets_ ? line & set_mask_ : fastmod(line, fastmod_m_, sets_);
+  }
+
   // Access statistics (monotonic since construction or reset_stats()).
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  void reset_stats() { hits_ = misses_ = 0; }
+  std::uint64_t hits() const { return counts_.hits; }
+  std::uint64_t misses() const { return counts_.misses; }
+  void reset_stats() { counts_.hits = counts_.misses = 0; }
   /// Count `n` hits that left the tag state as it was, without performing
   /// them (a repeated all-hit pass, DESIGN.md §3b).
-  void count_hits(std::uint64_t n) { hits_ += n; }
+  void count_hits(std::uint64_t n) { counts_.hits += n; }
 
   /// Changes exactly when the tag state (recency order or a dirty bit)
   /// changes: a fill, a hit below the MRU way, a hit that dirties a clean
   /// line, invalidating a present line, flushing a non-empty cache.
-  std::uint64_t epoch() const { return epoch_; }
+  std::uint64_t epoch() const { return counts_.epoch; }
 
  private:
+  /// access() past the set index and the empty-cache check: the MRU check
+  /// and the fused walk of the set starting at tags_[base] (class comment).
+  Result walk(std::size_t base, std::uint64_t line, bool make_dirty, Counts& c) {
+    std::uint64_t* const tags = tags_.data() + base;
+    const std::uint64_t key = (line << 1) | 1;
+    std::uint64_t carry = tags[0];
+    if ((carry | 1) == key) {
+      const std::uint64_t word = carry | std::uint64_t{make_dirty};
+      if (word != carry) {
+        tags[0] = word;
+        ++c.epoch;  // a store dirtied the clean MRU line
+      }
+      ++c.hits;
+      return Result{.hit = true};
+    }
+    ++c.epoch;  // anything past the MRU way moves the recency order
+    // Unrolled by four: a miss walks every way (19 for the L3 slice).
+#pragma GCC unroll 4
+    for (std::uint32_t w = 1; w < assoc_; ++w) {
+      const std::uint64_t word = tags[w];
+      tags[w] = carry;
+      if ((word | 1) == key) {
+        tags[0] = word | std::uint64_t{make_dirty};
+        ++c.hits;
+        return Result{.hit = true};
+      }
+      carry = word;
+    }
+    tags[0] = (line << 1) | std::uint64_t{make_dirty};
+    ++c.misses;
+    if (carry == kInvalid) {
+      ++c.valid;
+      return Result{};
+    }
+    return Result{.evicted = true,
+                  .victim_line = carry >> 1,
+                  .victim_dirty = (carry & 1) != 0};
+  }
+
   /// The miss of access() on a cache with no valid line: allocates storage
   /// on the very first fill and installs `line`, whose set starts at
   /// tags_[base], at MRU.  A zero-capacity cache only counts the miss.
@@ -206,12 +252,6 @@ class CacheLevel {
     return static_cast<std::uint64_t>(
         (static_cast<unsigned __int128>(m * x) * sets) >> 64);
   }
-  /// set_of(line, sets_, hashed_sets_) without a divide.
-  std::uint64_t set_index(std::uint64_t line) const {
-    if (hashed_sets_) line = mix(line);
-    return pow2_sets_ ? line & set_mask_ : fastmod(line, fastmod_m_, sets_);
-  }
-
   /// Offset in tags_ of the first way of `line`'s set.
   std::size_t set_base(std::uint64_t line) const {
     return static_cast<std::size_t>(set_index(line)) * assoc_;
@@ -229,10 +269,7 @@ class CacheLevel {
   /// sets_ * assoc_ packed `line << 1 | dirty` words (kInvalid = empty);
   /// empty until the first fill.
   std::vector<std::uint64_t> tags_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t valid_count_ = 0;
-  std::uint64_t epoch_ = 0;
+  Counts counts_;
 };
 
 }  // namespace papisim::sim

@@ -22,14 +22,29 @@ std::unique_lock<std::mutex> L3Fabric::lock_stripe(Stripe& stripe) {
 L3Fabric::StripeHandle::StripeHandle(L3Fabric& fabric, Stripe& stripe)
     : fabric_(&fabric), stripe_(&stripe), lock_(lock_stripe(stripe)) {}
 
+void L3Fabric::StripeHandle::merge(const Shard& shard) {
+  stripe_->slice.merge(shard.slice_);
+  LineTally& tally = stripe_->tally;
+  for (std::uint64_t m = shard.tally_.touched; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
+    tally.lines[i] += shard.tally_.lines[i];
+  }
+  tally.touched |= shard.tally_.touched;
+}
+
+void L3Fabric::StripeHandle::count_acquisitions(std::uint64_t n) const {
+  selfmon::counter_add(selfmon::CounterId::L3StripeAcquisitions, n);
+}
+
 void L3Fabric::publish(Stripe& stripe) {
-  for (std::uint64_t m = stripe.touched; m != 0; m &= m - 1) {
+  LineTally& tally = stripe.tally;
+  for (std::uint64_t m = tally.touched; m != 0; m &= m - 1) {
     const int i = std::countr_zero(m);
     mem_.add_lines(static_cast<std::uint32_t>(i / 2), static_cast<MemDir>(i & 1),
-                   stripe.lines[i]);
-    stripe.lines[i] = 0;
+                   tally.lines[i]);
+    tally.lines[i] = 0;
   }
-  stripe.touched = 0;
+  tally.touched = 0;
 }
 
 L3Fabric::L3Fabric(const MachineConfig& cfg, MemController& mem)
@@ -113,7 +128,7 @@ L3Fabric::Source L3Fabric::slice_miss(Stripe& stripe, std::uint64_t line,
   if (r.evicted) {
     const CacheLevel::Result cast = stripe.victim.insert(r.victim_line, r.victim_dirty);
     if (cast.evicted && cast.victim_dirty) {
-      count_line(stripe, cast.victim_line, MemDir::Write);
+      count_line(stripe.tally, cast.victim_line, MemDir::Write);
     }
   }
 
@@ -126,7 +141,7 @@ L3Fabric::Source L3Fabric::slice_miss(Stripe& stripe, std::uint64_t line,
     }
     selfmon::detail::owner_add(stripe.victim_retention_misses, 1);
   }
-  count_line(stripe, line, MemDir::Read);
+  count_line(stripe.tally, line, MemDir::Read);
   return Source::Memory;
 }
 
@@ -134,7 +149,7 @@ void L3Fabric::flush_core(std::uint32_t core) {
   Stripe& stripe = *stripes_[core];
   const auto lock = lock_stripe(stripe);
   stripe.slice.flush([&](std::uint64_t line, bool dirty) {
-    if (dirty) count_line(stripe, line, MemDir::Write);
+    if (dirty) count_line(stripe.tally, line, MemDir::Write);
   });
   publish(stripe);
 }
@@ -144,7 +159,7 @@ void L3Fabric::flush_all() {
   for (auto& stripe : stripes_) {
     const auto lock = lock_stripe(*stripe);
     stripe->victim.flush([&](std::uint64_t line, bool dirty) {
-      if (dirty) count_line(*stripe, line, MemDir::Write);
+      if (dirty) count_line(stripe->tally, line, MemDir::Write);
     });
     publish(*stripe);
   }

@@ -65,6 +65,27 @@ namespace papisim::sim {
 class L3Fabric {
   struct Stripe;
 
+  /// Most memory channels a socket may have: a tally marks the channel and
+  /// direction pairs it has counted in one 64-bit mask.
+  static constexpr std::uint32_t kMaxChannels = 32;
+
+  /// Memory lines counted per channel and direction, indexed channel * 2 +
+  /// direction; `touched` has bit i set iff lines[i] != 0.
+  struct LineTally {
+    std::uint64_t touched = 0;
+    std::uint64_t lines[2 * kMaxChannels] = {};
+
+    /// Lines counted in direction `dir`, over every channel.
+    std::uint64_t total(MemDir dir) const {
+      std::uint64_t n = 0;
+      for (std::uint64_t m = touched; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
+        if ((i & 1) == static_cast<int>(dir)) n += lines[i];
+      }
+      return n;
+    }
+  };
+
  public:
   L3Fabric(const MachineConfig& cfg, MemController& mem);
 
@@ -75,6 +96,22 @@ class L3Fabric {
   std::uint32_t active_cores() const { return active_cores_; }
 
   enum class Source : std::uint8_t { L3Hit, VictimHit, Memory };
+
+  /// What one host thread of a set-sharded batch (AccessEngine::execute_all,
+  /// DESIGN.md §3b) counts while it replays its own range of one slice's
+  /// sets: the slice's hits, misses, fills and epoch steps, and the memory
+  /// lines per channel and direction.  StripeHandle::merge() adds it to the
+  /// stripe once the shards have joined.
+  class Shard {
+   public:
+    /// Memory lines counted so far in direction `dir`.
+    std::uint64_t lines(MemDir dir) const { return tally_.total(dir); }
+
+   private:
+    friend class L3Fabric;
+    CacheLevel::Counts slice_;
+    LineTally tally_;
+  };
 
   /// Exclusive hold on one core's stripe, released on destruction.  Its
   /// accesses take no further lock.  A thread holds at most one handle at a
@@ -88,7 +125,7 @@ class L3Fabric {
     /// Publishes before lock_ is released, so the next holder starts from
     /// zero.  Not movable, so exactly one destructor publishes a hold.
     ~StripeHandle() {
-      if (stripe_->touched != 0) fabric_->publish(*stripe_);
+      if (stripe_->tally.touched != 0) fabric_->publish(*stripe_);
     }
 
     /// Demand load of `line`.  Memory reads and any eviction writebacks are
@@ -109,7 +146,7 @@ class L3Fabric {
 
     /// Streaming store that bypasses the cache: one full-line memory write.
     void write_through(std::uint64_t line) {
-      fabric_->count_line(*stripe_, line, MemDir::Write);
+      fabric_->count_line(stripe_->tally, line, MemDir::Write);
     }
 
     /// The slice's tag-state epoch and hit count (CacheLevel::epoch/hits).
@@ -120,14 +157,45 @@ class L3Fabric {
     void repeat_hits(std::uint64_t n) { stripe_->slice.count_hits(n); }
 
     /// Memory lines this hold has caused so far in direction `dir`.
-    std::uint64_t lines(MemDir dir) const {
-      std::uint64_t n = 0;
-      for (std::uint64_t m = stripe_->touched; m != 0; m &= m - 1) {
-        const int i = std::countr_zero(m);
-        if ((i & 1) == static_cast<int>(dir)) n += stripe_->lines[i];
-      }
-      return n;
+    std::uint64_t lines(MemDir dir) const { return stripe_->tally.total(dir); }
+
+    // Set-sharded replay (AccessEngine::execute_all, DESIGN.md §3b).  Host
+    // threads share this hold, each with its own Shard and its own
+    // contiguous range of the slice's sets.
+
+    /// True when the slice's sets are independent LRUs that can be replayed
+    /// apart: the slice has capacity and the core has no victim store,
+    /// whose cast-outs and retention draws couple the sets.
+    bool shardable() const {
+      return stripe_->slice.sets() != 0 && stripe_->victim.capacity_lines() == 0;
     }
+    std::uint32_t slice_sets() const { return stripe_->slice.sets(); }
+    /// The slice set `line` maps to.
+    std::uint64_t slice_set(std::uint64_t line) const {
+      return stripe_->slice.set_index(line);
+    }
+    /// Allocate the slice's storage, so that no shard allocates.
+    void prepare_shards() { stripe_->slice.allocate(); }
+    /// load() (or store(), with `make_dirty`) of `line`, which maps to slice
+    /// set `set` in `shard`'s range, counted in `shard`.  Only while
+    /// shardable(): a miss goes to memory as in access_line().
+    Source shard_access(Shard& shard, std::uint64_t set, std::uint64_t line,
+                        bool make_dirty) const {
+      const CacheLevel::Result r =
+          stripe_->slice.access_in_set(set, line, make_dirty, shard.slice_);
+      if (r.hit) return Source::L3Hit;
+      return fabric_->memory_miss(shard.tally_, line, r);
+    }
+    /// write_through(), counted in `shard`.
+    void shard_write_through(Shard& shard, std::uint64_t line) const {
+      fabric_->count_line(shard.tally_, line, MemDir::Write);
+    }
+    /// Add a joined shard's counts to the slice and to this hold's lines.
+    void merge(const Shard& shard);
+    /// Count `n` more stripe acquisitions in selfmon, as `n` more holds
+    /// would: a batch replays every loop under one hold and reports one
+    /// acquisition per loop, as one execute() per loop does.
+    void count_acquisitions(std::uint64_t n) const;
 
    private:
     friend class L3Fabric;
@@ -178,10 +246,6 @@ class L3Fabric {
   std::uint64_t total_slice_lookups() const;
 
  private:
-  /// Most memory channels a socket may have: a stripe marks the channel and
-  /// direction pairs its hold has touched in one 64-bit mask.
-  static constexpr std::uint32_t kMaxChannels = 32;
-
   /// Per-core stripe: everything one core's accesses mutate, under one lock.
   /// Cache-line aligned with the caches held inline, so two cores' per-access
   /// writes (hit/miss counts, retention events, line counts) never share a
@@ -196,15 +260,13 @@ class L3Fabric {
     /// Written under `mu` only (selfmon::detail::owner_add), read any time.
     std::atomic<std::uint64_t> victim_recoveries{0};
     std::atomic<std::uint64_t> victim_retention_misses{0};
-    /// Memory lines of the current hold, indexed channel * 2 + direction;
-    /// `touched` has bit i set iff lines[i] != 0.  Published and cleared
-    /// when the hold ends.
-    std::uint64_t touched = 0;
-    std::uint64_t lines[2 * kMaxChannels] = {};
+    /// Memory lines of the current hold.  Published and cleared when the
+    /// hold ends.
+    LineTally tally;
     /// slice_miss()'s stride lookahead: the last line it handled and that
     /// line's delta from the one before (mod 2^64).  Prefetch hints only;
-    /// no count depends on them.  Kept after lines[] so the inline hit path
-    /// sees the same offsets as without them.
+    /// no count depends on them.  Kept after the tally so the inline hit
+    /// path sees the same offsets as without them.
     std::uint64_t last_miss = 0;
     std::uint64_t last_delta = 0;
   };
@@ -219,8 +281,14 @@ class L3Fabric {
     const CacheLevel::Result r = stripe.slice.access(line, make_dirty);
     if (r.hit) return Source::L3Hit;
     if (stripe.victim.capacity_lines() != 0) return slice_miss(stripe, line, r);
-    if (r.victim_dirty) count_line(stripe, r.victim_line, MemDir::Write);
-    count_line(stripe, line, MemDir::Read);
+    return memory_miss(stripe.tally, line, r);
+  }
+  /// A slice miss with no victim store: the dirty victim's write and the
+  /// line's read, counted in `tally`.
+  Source memory_miss(LineTally& tally, std::uint64_t line,
+                     const CacheLevel::Result& r) const {
+    if (r.victim_dirty) count_line(tally, r.victim_line, MemDir::Write);
+    count_line(tally, line, MemDir::Read);
     return Source::Memory;
   }
   /// The slice missed on `line` and filled it, displacing `r`'s victim (if
@@ -235,11 +303,11 @@ class L3Fabric {
   static constexpr std::uint64_t kMissLookahead = 16;
   bool retained(Stripe& stripe, std::uint64_t line);
 
-  /// Count one memory line against the current hold of `stripe`.
-  void count_line(Stripe& stripe, std::uint64_t line, MemDir dir) {
+  /// Count one memory line in `tally` (a stripe's current hold, or a shard).
+  void count_line(LineTally& tally, std::uint64_t line, MemDir dir) const {
     const std::uint32_t i = mem_.channel_of(line) * 2 + static_cast<std::uint32_t>(dir);
-    ++stripe.lines[i];
-    stripe.touched |= std::uint64_t{1} << i;
+    ++tally.lines[i];
+    tally.touched |= std::uint64_t{1} << i;
   }
   /// Publish the hold's line counts to the MemController and clear them.
   void publish(Stripe& stripe);

@@ -164,7 +164,7 @@ class CoreSampler {
         ring_(cfg.ring_capacity),
         latency_{cfg.l3_hit_latency_ns, cfg.victim_hit_latency_ns,
                  cfg.memory_latency_ns, cfg.bypass_latency_ns} {
-    countdown_ = gap_for(0);
+    cursor_.countdown = gap_for(0);
   }
 
   std::uint16_t core() const { return core_; }
@@ -175,9 +175,54 @@ class CoreSampler {
   void on_access(std::uint64_t addr, AccessKind kind, HitLevel level,
                  std::int64_t stride, std::uint64_t time_ns) {
     selfmon::detail::owner_add(accesses_, 1);
-    if (--countdown_ != 0) return;
-    record(addr, kind, level, stride, time_ns);
-    countdown_ = gap_for(++ordinal_);
+    if (step(cursor_)) record(addr, kind, level, stride, time_ns);
+  }
+
+  /// Where the gap sequence stands: accesses left until the next sample,
+  /// and the samples scheduled so far.
+  struct Cursor {
+    std::uint64_t countdown = 1;
+    std::uint64_t ordinal = 0;
+  };
+  Cursor cursor() const { return cursor_; }
+
+  /// Count one access against `c`; true when that access is sampled.  The
+  /// gaps are a pure function of (seed, core, ordinal), so any thread may
+  /// step a copy of cursor() to learn which of the coming accesses
+  /// on_access() would record (the set-sharded replay, DESIGN.md §3b).
+  bool step(Cursor& c) const {
+    if (--c.countdown != 0) return false;
+    c.countdown = gap_for(++c.ordinal);
+    return true;
+  }
+
+  /// Record one sample: on_access() does when its countdown fires, and the
+  /// set-sharded replay does, in access order, for each access a stepped
+  /// copy of cursor() chose.
+  void record(std::uint64_t addr, AccessKind kind, HitLevel level,
+              std::int64_t stride, std::uint64_t time_ns) {
+    Sample s;
+    s.addr = addr;
+    s.time_ns = time_ns;
+    s.stride = stride;
+    s.latency_ns = latency_[static_cast<std::size_t>(level)];
+    s.core = core_;
+    s.kind = kind;
+    s.level = level;
+    if (ring_.try_push(s)) {
+      selfmon::detail::owner_add(samples_, 1);
+      selfmon::counter_add(selfmon::CounterId::SpeSamples);
+    } else {
+      selfmon::detail::owner_add(drops_, 1);
+      selfmon::counter_add(selfmon::CounterId::SpeDrops);
+    }
+  }
+  /// Count `accesses` that a copy of cursor() was stepped over, and adopt
+  /// that copy: the sampler then stands where on_access() of each of them
+  /// would have left it.
+  void advance(std::uint64_t accesses, const Cursor& c) {
+    selfmon::detail::owner_add(accesses_, accesses);
+    cursor_ = c;
   }
 
   /// Change the sampling period and deterministically restart the gap
@@ -185,8 +230,7 @@ class CoreSampler {
   /// contract as L3Fabric::set_active_cores).
   void set_period(std::uint64_t period) {
     period_ = period < 1 ? 1 : period;
-    ordinal_ = 0;
-    countdown_ = gap_for(0);
+    cursor_ = Cursor{gap_for(0), 0};
   }
 
   /// Consumer-side drain; see SampleRing::pop_all.
@@ -214,31 +258,11 @@ class CoreSampler {
     return period_ - period_ / 2 + h % period_;
   }
 
-  void record(std::uint64_t addr, AccessKind kind, HitLevel level,
-              std::int64_t stride, std::uint64_t time_ns) {
-    Sample s;
-    s.addr = addr;
-    s.time_ns = time_ns;
-    s.stride = stride;
-    s.latency_ns = latency_[static_cast<std::size_t>(level)];
-    s.core = core_;
-    s.kind = kind;
-    s.level = level;
-    if (ring_.try_push(s)) {
-      selfmon::detail::owner_add(samples_, 1);
-      selfmon::counter_add(selfmon::CounterId::SpeSamples);
-    } else {
-      selfmon::detail::owner_add(drops_, 1);
-      selfmon::counter_add(selfmon::CounterId::SpeDrops);
-    }
-  }
-
   std::uint16_t core_;
   std::uint64_t period_;
   std::uint64_t seed_;
   bool jitter_;
-  std::uint64_t countdown_ = 1;
-  std::uint64_t ordinal_ = 0;  ///< samples scheduled so far (gap-sequence index)
+  Cursor cursor_;
   SampleRing ring_;
   float latency_[kNumHitLevels];
   // Owner-written (replay thread), merged on read: same discipline as

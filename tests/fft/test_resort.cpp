@@ -6,7 +6,9 @@
 #include <memory>
 #include <numeric>
 
+#include "fft/fft3d.hpp"
 #include "fft/resort.hpp"
+#include "kernels/blas_sim.hpp"
 #include "kernels/expected.hpp"
 
 namespace papisim::fft {
@@ -247,6 +249,80 @@ TEST_F(ReplayFixture, PrefetchImprovesNest2Bandwidth) {
     return st.time_ns;
   };
   EXPECT_LT(run(true), run(false));
+}
+
+
+// ------------------------------------------------------ set-sharded replay
+
+/// A noise-off Summit machine with socket 0 fully active (no victim store).
+std::unique_ptr<sim::Machine> full_socket() {
+  auto m = std::make_unique<sim::Machine>(sim::MachineConfig::summit());
+  m->set_noise_enabled(false);
+  m->set_active_cores(0, m->cores_per_socket());
+  return m;
+}
+
+TEST(ShardedResort, ReplaysEqualTheirLoopsExecutedOneByOne) {
+  // Each replay submits its loops in multi-plane execute_all() batches; a
+  // twin machine runs the same loops, from the same builders, through
+  // execute().
+  const RankDims d = RankDims::of(128, mpi::Grid{2, 4});
+  const S2Dims s2 = S2Dims::of(d, mpi::Grid{2, 4});
+  for (int which = 0; which < 4; ++which) {
+    SCOPED_TRACE(which);
+    const bool second = which >= 2, planewise = which % 2 == 1;
+    auto batched = full_socket(), serial = full_socket();
+    const ResortBuffers buf = ResortBuffers::allocate(batched->address_space(), d.bytes());
+    ResortBuffers::allocate(serial->address_space(), d.bytes());
+    const sim::LoopStats got =
+        second ? (planewise ? s2pf_replay : s2cf_replay)(*batched, 0, 0, s2, buf, false)
+               : (planewise ? s1pf_combined_replay : s1cf_combined_replay)(*batched, 0, 0, d,
+                                                                          buf, false);
+    std::vector<sim::LoopDesc> loops;
+    if (second) {
+      s2_resort_loops(s2, buf, false, planewise, 0, s2.planes, loops);
+    } else {
+      s1_resort_loops(d, buf, false, planewise, 0, d.planes, loops);
+    }
+    sim::LoopStats want;
+    for (const sim::LoopDesc& loop : loops) want += serial->engine(0, 0).execute(loop);
+    EXPECT_EQ(got.line_touches, want.line_touches);
+    EXPECT_EQ(got.mem_read_bytes, want.mem_read_bytes);
+    EXPECT_EQ(got.mem_write_bytes, want.mem_write_bytes);
+    EXPECT_EQ(got.l3_hits, want.l3_hits);
+    EXPECT_EQ(got.bypassed_store_lines, want.bypassed_store_lines);
+    EXPECT_EQ(got.time_ns, want.time_ns);
+    EXPECT_EQ(batched->clock().now_ns(), serial->clock().now_ns());
+    EXPECT_EQ(batched->memctrl(0).snapshot(), serial->memctrl(0).snapshot());
+    EXPECT_EQ(batched->engine(0, 0).counters().sharded_loops,
+              sim::AccessEngine::shard_threads() > 1 ? loops.size() : 0u);
+  }
+}
+
+TEST(ShardedResort, FullSocketFftShardsEveryResortLoopLoneGemvNone) {
+  auto m = full_socket();
+  Fft3dConfig cfg;
+  cfg.n = 128;
+  cfg.grid = {2, 4};
+  cfg.ticks_per_phase = 2;  // every tick's batch passes the shard threshold
+  DistributedFft3d app(*m, cfg);
+  app.run_forward();
+  const RankDims d = app.dims();
+  const S2Dims s2 = S2Dims::of(d, cfg.grid);
+  const std::uint64_t resort_loops = 2 * d.planes * d.rows + 2 * s2.planes * s2.x * s2.y;
+  EXPECT_EQ(m->engine(0, 0).counters().sharded_loops,
+            sim::AccessEngine::shard_threads() > 1 ? resort_loops : 0u);
+
+  // A lone core's capped GEMV spills into its victim store: nothing shards.
+  sim::Machine lone(sim::MachineConfig::summit());
+  lone.set_noise_enabled(false);
+  lone.set_active_cores(0, 1);
+  constexpr std::uint64_t kRows = 1024, kN = 1280;
+  const kernels::GemvBuffers gb =
+      kernels::GemvBuffers::allocate(lone.address_space(), kRows, kN, kN);
+  kernels::run_capped_gemv(lone, 0, 0, kRows, kN, kN, gb);
+  EXPECT_GT(lone.engine(0, 0).counters().line_touches, 0u);
+  EXPECT_EQ(lone.engine(0, 0).counters().sharded_loops, 0u);
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "selfmon/metrics.hpp"
 #include "sim/machine.hpp"
+#include "sim/rng.hpp"
 
 namespace papisim::sim {
 namespace {
@@ -652,6 +655,221 @@ TEST_F(EngineFixture, TooManyStreamsRejected) {
   loop.iterations = 1;
   loop.streams.assign(17, StreamDesc{0, 8, 8, AccessKind::Load});
   EXPECT_THROW(eng().execute(loop), std::invalid_argument);
+}
+
+
+// ------------------------------------------------------ set-sharded replay
+
+/// The socket a ShardedReplay run replays on: every core active (no victim
+/// store), a lone core with lateral cast-out off (no victim store either),
+/// or a lone core with a victim store, which execute_all() must not shard.
+enum class ShardSocket { FullyActive, LoneNoCastout, LoneCore };
+
+/// Twin machines: `batched` replays each batch through execute_all(),
+/// `serial` runs the same loops one execute() at a time.  With `spe` both
+/// cores carry identical samplers whose rings are small enough to drop.
+struct ShardTwins {
+  static MachineConfig config(ShardSocket socket) {
+    MachineConfig cfg = test_config();
+    cfg.lateral_castout = socket != ShardSocket::LoneNoCastout;
+    return cfg;
+  }
+
+  ShardTwins(ShardSocket socket, bool noise, const spe::SpeConfig* spe)
+      : batched(config(socket)), serial(config(socket)) {
+    for (Machine* m : {&batched, &serial}) {
+      m->set_noise_enabled(noise);
+      m->set_active_cores(0, socket == ShardSocket::FullyActive ? m->cores_per_socket() : 1);
+    }
+    if (spe != nullptr) {
+      batched_spe = std::make_unique<spe::CoreSampler>(0, *spe);
+      serial_spe = std::make_unique<spe::CoreSampler>(0, *spe);
+      batched.engine(0, 0).set_spe(batched_spe.get());
+      serial.engine(0, 0).set_spe(serial_spe.get());
+    }
+  }
+
+  /// Every stat, counter, channel count, slice count and the clock agree,
+  /// and so do the samples drained so far.
+  void expect_same() {
+    EXPECT_EQ(mine.line_touches, theirs.line_touches);
+    EXPECT_EQ(mine.mem_read_bytes, theirs.mem_read_bytes);
+    EXPECT_EQ(mine.mem_write_bytes, theirs.mem_write_bytes);
+    EXPECT_EQ(mine.l3_hits, theirs.l3_hits);
+    EXPECT_EQ(mine.victim_hits, theirs.victim_hits);
+    EXPECT_EQ(mine.bypassed_store_lines, theirs.bypassed_store_lines);
+    EXPECT_EQ(mine.allocated_store_lines, theirs.allocated_store_lines);
+    EXPECT_EQ(mine.seq_line_touches, theirs.seq_line_touches);
+    EXPECT_EQ(mine.strided_line_touches, theirs.strided_line_touches);
+    EXPECT_EQ(mine.time_ns, theirs.time_ns);  // doubles compared exactly
+    EXPECT_EQ(mine.flops, theirs.flops);
+    const CoreCounters& a = batched.engine(0, 0).counters();
+    const CoreCounters& b = serial.engine(0, 0).counters();
+    EXPECT_EQ(a.flops, b.flops);
+    EXPECT_EQ(a.line_touches, b.line_touches);
+    EXPECT_EQ(a.l3_hits, b.l3_hits);
+    EXPECT_EQ(a.victim_hits, b.victim_hits);
+    EXPECT_EQ(a.seq_line_touches, b.seq_line_touches);
+    EXPECT_EQ(a.strided_line_touches, b.strided_line_touches);
+    EXPECT_EQ(a.busy_ns, b.busy_ns);
+    EXPECT_EQ(batched.clock().now_ns(), serial.clock().now_ns());
+    const CacheLevel& sa = batched.l3(0).slice(0);
+    const CacheLevel& sb = serial.l3(0).slice(0);
+    EXPECT_EQ(sa.hits(), sb.hits());
+    EXPECT_EQ(sa.misses(), sb.misses());
+    EXPECT_EQ(sa.epoch(), sb.epoch());
+    EXPECT_EQ(sa.valid_lines(), sb.valid_lines());
+    EXPECT_EQ(batched.l3(0).victim_recoveries(), serial.l3(0).victim_recoveries());
+    const MemController& ma = batched.memctrl(0);
+    const MemController& mb = serial.memctrl(0);
+    for (std::uint32_t ch = 0; ch < ma.channels(); ++ch) {
+      for (const MemDir dir : {MemDir::Read, MemDir::Write}) {
+        EXPECT_EQ(ma.channel_bytes(ch, dir), mb.channel_bytes(ch, dir)) << "ch " << ch;
+        EXPECT_EQ(ma.channel_ops(ch, dir), mb.channel_ops(ch, dir)) << "ch " << ch;
+      }
+    }
+    if (batched_spe != nullptr) {
+      std::vector<spe::Sample> got, want;
+      batched_spe->drain(got);
+      serial_spe->drain(want);
+      EXPECT_EQ(got.size(), want.size());
+      EXPECT_TRUE(got == want);
+      EXPECT_EQ(batched_spe->samples(), serial_spe->samples());
+      EXPECT_EQ(batched_spe->drops(), serial_spe->drops());
+      EXPECT_EQ(batched_spe->accesses(), serial_spe->accesses());
+      EXPECT_EQ(batched_spe->cursor().countdown, serial_spe->cursor().countdown);
+      EXPECT_EQ(batched_spe->cursor().ordinal, serial_spe->cursor().ordinal);
+    }
+  }
+
+  /// The slices' (line, dirty) pairs agree.  Drains both slices.
+  void expect_same_slice() {
+    std::vector<std::pair<std::uint64_t, bool>> drained[2];
+    for (int side = 0; side < 2; ++side) {
+      (side == 0 ? batched : serial).l3(0).slice(0).flush(
+          [&](std::uint64_t line, bool dirty) { drained[side].emplace_back(line, dirty); });
+      std::sort(drained[side].begin(), drained[side].end());
+    }
+    EXPECT_FALSE(drained[0].empty());
+    EXPECT_EQ(drained[0], drained[1]);
+  }
+
+  Machine batched, serial;
+  std::unique_ptr<spe::CoreSampler> batched_spe, serial_spe;
+  LoopStats mine, theirs;
+};
+
+/// A random loop inside [base, base + 8 MiB): 1-4 streams of loads and
+/// stores, 8- or 16-byte elements, sub-line (some not a power of two),
+/// whole-line, multi-line, negative and zero strides, now and then under
+/// sw_prefetch, with every other store stream bypass-eligible (stride ==
+/// element size), and now and then no iterations at all.
+LoopDesc random_loop(SplitMix64& rng, std::uint64_t base) {
+  static constexpr std::int64_t kStrides[] = {8,   16,  24,  40,  64,  128, 192,
+                                              576, -8,  -16, -64, -192, 0};
+  constexpr std::uint64_t kRegion = 8 << 20;
+  auto pick = [&](std::uint64_t n) { return rng.next_u64() % n; };
+  LoopDesc loop;
+  loop.iterations = pick(16) == 0 ? 0 : 1 + pick(1500);
+  loop.flops_per_iter = 0.5 * static_cast<double>(pick(5));
+  loop.sw_prefetch = pick(4) == 0;
+  const std::size_t streams = 1 + pick(4);
+  for (std::size_t k = 0; k < streams; ++k) {
+    StreamDesc sd;
+    sd.kind = pick(3) == 0 ? AccessKind::Store : AccessKind::Load;
+    sd.elem_bytes = pick(2) == 0 ? 8 : 16;
+    sd.stride = sd.kind == AccessKind::Store && pick(2) == 0
+                    ? static_cast<std::int64_t>(sd.elem_bytes)
+                    : kStrides[pick(std::size(kStrides))];
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(sd.stride < 0 ? -sd.stride : sd.stride) *
+        loop.iterations;
+    sd.base = base + (sd.stride < 0 ? span : 0) + pick(kRegion - span) / 8 * 8;
+    loop.streams.push_back(sd);
+  }
+  return loop;
+}
+
+using ShardCase = std::tuple<ShardSocket, bool /*spe*/, bool /*noise*/>;
+
+struct ShardedReplay : ::testing::TestWithParam<ShardCase> {};
+
+TEST_P(ShardedReplay, BatchEqualsLoopByLoopExecute) {
+  const auto [socket, with_spe, noise] = GetParam();
+  if (with_spe && !spe::kEnabled) GTEST_SKIP() << "SPE compiled out";
+  SplitMix64 rng(0x5eed0000 + static_cast<std::uint64_t>(socket) * 4 + with_spe * 2 + noise);
+  spe::SpeConfig spe_cfg;
+  spe_cfg.period = 1 + rng.next_u64() % 7;
+  spe_cfg.jitter = true;
+  spe_cfg.ring_capacity = 256;  // fills between drains, so samples drop
+  ShardTwins twin(socket, noise, with_spe ? &spe_cfg : nullptr);
+  const std::uint64_t base = twin.batched.address_space().allocate(8 << 20);
+  twin.serial.address_space().allocate(8 << 20);
+  const bool can_shard = AccessEngine::shard_threads() > 1 && socket != ShardSocket::LoneCore;
+
+  std::uint32_t sharded_batches = 0, serial_batches = 0;
+  for (int b = 0; b < 24; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    // Small batches stay below the shard threshold, large ones pass it.
+    const std::size_t nloops = b % 3 == 0 ? 1 + rng.next_u64() % 6 : 20 + rng.next_u64() % 60;
+    std::vector<LoopDesc> loops;
+    for (std::size_t i = 0; i < nloops; ++i) loops.push_back(random_loop(rng, base));
+
+    const std::uint64_t sharded0 = twin.batched.engine(0, 0).counters().sharded_loops;
+    twin.batched.engine(0, 0).execute_all(loops, twin.mine);
+    std::uint64_t touches = 0, replayed = 0;
+    for (const LoopDesc& loop : loops) {
+      const LoopStats st = twin.serial.engine(0, 0).execute(loop);
+      touches += st.line_touches;
+      replayed += st.line_touches != 0;
+      twin.theirs += st;
+    }
+    const bool sharded = can_shard && touches >= AccessEngine::kShardMinTouches;
+    EXPECT_EQ(twin.batched.engine(0, 0).counters().sharded_loops - sharded0,
+              sharded ? replayed : 0);
+    (sharded ? sharded_batches : serial_batches) += 1;
+    // Drain at some batch boundaries only, so the rings fill and drop.
+    if (b % 4 == 3) twin.expect_same();
+  }
+  twin.expect_same();
+  twin.expect_same_slice();
+  EXPECT_GT(serial_batches, 0u);
+  EXPECT_TRUE(!can_shard || sharded_batches > 0);
+  EXPECT_TRUE(!with_spe || twin.serial_spe->drops() > 0);
+}
+
+std::string shard_case_name(const ::testing::TestParamInfo<ShardCase>& info) {
+  static const char* const kSockets[] = {"fully_active", "lone_no_castout", "lone_core"};
+  return std::string(kSockets[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) ? "_spe" : "") + (std::get<2>(info.param) ? "_noise" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sockets, ShardedReplay,
+    ::testing::Combine(::testing::Values(ShardSocket::FullyActive, ShardSocket::LoneNoCastout,
+                                         ShardSocket::LoneCore),
+                       ::testing::Bool(), ::testing::Bool()),
+    shard_case_name);
+
+TEST(ShardedReplay, EmptyAndOversizedBatchesFallBack) {
+  Machine m(test_config());
+  m.set_noise_enabled(false);
+  m.set_active_cores(0, m.cores_per_socket());
+  AccessEngine& eng = m.engine(0, 0);
+  LoopStats total;
+  eng.execute_all({}, total);
+  EXPECT_EQ(total.line_touches, 0u);
+  // A batch with a 17-stream loop runs loop by loop, so execute() throws at
+  // that loop, after replaying the ones before it.
+  std::vector<LoopDesc> loops(3);
+  for (LoopDesc& loop : loops) {
+    loop.iterations = 1 << 14;
+    loop.streams = {{1 << 20, 64, 8, AccessKind::Load}};
+  }
+  loops[2].streams.assign(17, StreamDesc{1 << 20, 64, 8, AccessKind::Load});
+  EXPECT_THROW(eng.execute_all(loops, total), std::invalid_argument);
+  EXPECT_EQ(total.line_touches, 2u << 14);
+  EXPECT_EQ(eng.counters().sharded_loops, 0u);
 }
 
 }  // namespace
