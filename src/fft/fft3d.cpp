@@ -90,22 +90,18 @@ void DistributedFft3d::phase_resort(const std::string& name,
                                     const std::function<void()>& tick, bool second,
                                     bool planewise) {
   PhaseStats& ph = begin_phase(name);
-  sim::AccessEngine& eng = machine_.engine(cfg_.socket, cfg_.core);
   // Chunk the nest over planes so the sampler sees the phase evolve.
   const std::uint64_t planes = second ? s2dims_.planes : dims_.planes;
-  const std::uint64_t chunks = std::min<std::uint64_t>(cfg_.ticks_per_phase, planes);
-  std::uint64_t done = 0;
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    const std::uint64_t end = planes * (c + 1) / chunks;
-    if (second) {
-      s2_resort_loops(s2dims_, buf_, cfg_.prefetch, planewise, done, end, batch_);
-    } else {
-      s1_resort_loops(dims_, buf_, cfg_.prefetch, planewise, done, end, batch_);
-    }
-    eng.execute_all(batch_, ph.loop);
-    done = end;
-    if (tick) tick();
-  }
+  replay_resort(machine_.engine(cfg_.socket, cfg_.core), planes,
+                std::min<std::uint64_t>(cfg_.ticks_per_phase, planes),
+                [&](std::uint64_t lo, std::uint64_t hi, std::vector<sim::LoopDesc>& loops) {
+                  if (second) {
+                    s2_resort_loops(s2dims_, buf_, cfg_.prefetch, planewise, lo, hi, loops);
+                  } else {
+                    s1_resort_loops(dims_, buf_, cfg_.prefetch, planewise, lo, hi, loops);
+                  }
+                },
+                tick, batch_, ph.loop);
   end_phase(ph);
 }
 

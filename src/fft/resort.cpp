@@ -226,45 +226,31 @@ void s2_resort_loops(const S2Dims& d, const ResortBuffers& buf, bool prefetch,
   }
 }
 
+void replay_resort(sim::AccessEngine& eng, std::uint64_t planes, std::uint64_t chunks,
+                   const ResortBuild& build, const std::function<void()>& tick,
+                   std::vector<sim::LoopDesc>& loops, sim::LoopStats& total) {
+  for (std::uint64_t c = 0, lo = 0; c < chunks; ++c) {
+    const std::uint64_t hi = planes * (c + 1) / chunks;
+    build(lo, hi, loops);
+    eng.execute_all(loops, total);
+    lo = hi;
+    if (tick) tick();
+  }
+}
+
 namespace {
 
-/// No tick to follow, so a replay submits as many planes per execute_all()
-/// batch as fit in about this many loops.
+/// A replay with no tick to follow: batches of whole planes, as many per
+/// batch as fit in about kBatchLoops loops.
 constexpr std::uint64_t kBatchLoops = 4096;
 
-/// Replay a re-sort's `planes` planes of `loops_per_plane` loops each,
-/// batch by batch; `build(lo, hi, loops)` fills the loops of planes [lo, hi).
-template <class Build>
-sim::LoopStats replay_planes(sim::AccessEngine& eng, std::uint64_t planes,
-                             std::uint64_t loops_per_plane, const Build& build) {
+sim::LoopStats replay_tickless(sim::AccessEngine& eng, std::uint64_t planes,
+                               std::uint64_t loops_per_plane, const ResortBuild& build) {
   const std::uint64_t per_batch = std::max<std::uint64_t>(1, kBatchLoops / loops_per_plane);
   std::vector<sim::LoopDesc> loops;
   sim::LoopStats total;
-  for (std::uint64_t lo = 0; lo < planes; lo += per_batch) {
-    build(lo, std::min(planes, lo + per_batch), loops);
-    eng.execute_all(loops, total);
-  }
+  replay_resort(eng, planes, (planes + per_batch - 1) / per_batch, build, {}, loops, total);
   return total;
-}
-
-sim::LoopStats replay_s1(sim::Machine& m, std::uint32_t socket, std::uint32_t core,
-                         const RankDims& d, const ResortBuffers& buf, bool prefetch,
-                         bool planewise) {
-  return replay_planes(m.engine(socket, core), d.planes, d.rows,
-                       [&](std::uint64_t lo, std::uint64_t hi,
-                           std::vector<sim::LoopDesc>& loops) {
-                         s1_resort_loops(d, buf, prefetch, planewise, lo, hi, loops);
-                       });
-}
-
-sim::LoopStats replay_s2(sim::Machine& m, std::uint32_t socket, std::uint32_t core,
-                         const S2Dims& d, const ResortBuffers& buf, bool prefetch,
-                         bool planewise) {
-  return replay_planes(m.engine(socket, core), d.planes, d.x * d.y,
-                       [&](std::uint64_t lo, std::uint64_t hi,
-                           std::vector<sim::LoopDesc>& loops) {
-                         s2_resort_loops(d, buf, prefetch, planewise, lo, hi, loops);
-                       });
 }
 
 }  // namespace
@@ -272,25 +258,37 @@ sim::LoopStats replay_s2(sim::Machine& m, std::uint32_t socket, std::uint32_t co
 sim::LoopStats s1cf_combined_replay(sim::Machine& m, std::uint32_t socket,
                                     std::uint32_t core, const RankDims& d,
                                     const ResortBuffers& buf, bool prefetch) {
-  return replay_s1(m, socket, core, d, buf, prefetch, /*planewise=*/false);
+  return replay_tickless(m.engine(socket, core), d.planes, d.rows,
+                         [&](std::uint64_t lo, std::uint64_t hi, auto& loops) {
+                           s1_resort_loops(d, buf, prefetch, /*planewise=*/false, lo, hi, loops);
+                         });
 }
 
 sim::LoopStats s1pf_combined_replay(sim::Machine& m, std::uint32_t socket,
                                     std::uint32_t core, const RankDims& d,
                                     const ResortBuffers& buf, bool prefetch) {
-  return replay_s1(m, socket, core, d, buf, prefetch, /*planewise=*/true);
+  return replay_tickless(m.engine(socket, core), d.planes, d.rows,
+                         [&](std::uint64_t lo, std::uint64_t hi, auto& loops) {
+                           s1_resort_loops(d, buf, prefetch, /*planewise=*/true, lo, hi, loops);
+                         });
 }
 
 sim::LoopStats s2cf_replay(sim::Machine& m, std::uint32_t socket,
                            std::uint32_t core, const S2Dims& d,
                            const ResortBuffers& buf, bool prefetch) {
-  return replay_s2(m, socket, core, d, buf, prefetch, /*planewise=*/false);
+  return replay_tickless(m.engine(socket, core), d.planes, d.x * d.y,
+                         [&](std::uint64_t lo, std::uint64_t hi, auto& loops) {
+                           s2_resort_loops(d, buf, prefetch, /*planewise=*/false, lo, hi, loops);
+                         });
 }
 
 sim::LoopStats s2pf_replay(sim::Machine& m, std::uint32_t socket,
                            std::uint32_t core, const S2Dims& d,
                            const ResortBuffers& buf, bool prefetch) {
-  return replay_s2(m, socket, core, d, buf, prefetch, /*planewise=*/true);
+  return replay_tickless(m.engine(socket, core), d.planes, d.x * d.y,
+                         [&](std::uint64_t lo, std::uint64_t hi, auto& loops) {
+                           s2_resort_loops(d, buf, prefetch, /*planewise=*/true, lo, hi, loops);
+                         });
 }
 
 }  // namespace papisim::fft

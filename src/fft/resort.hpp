@@ -7,6 +7,7 @@
 
 #include <complex>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -93,6 +94,18 @@ void s1_resort_loops(const RankDims& d, const ResortBuffers& buf, bool prefetch,
 void s2_resort_loops(const S2Dims& d, const ResortBuffers& buf, bool prefetch,
                      bool planewise, std::uint64_t lo, std::uint64_t hi,
                      std::vector<sim::LoopDesc>& loops);
+
+/// Fills `loops` with the loops of planes [lo, hi) of one re-sort:
+/// s1_resort_loops or s2_resort_loops bound to its dims.
+using ResortBuild = std::function<void(std::uint64_t lo, std::uint64_t hi,
+                                       std::vector<sim::LoopDesc>& loops)>;
+
+/// Replay a re-sort of `planes` planes on `eng` in `chunks` (1 to `planes`)
+/// execute_all() batches of whole planes, in order, adding into `total`;
+/// `tick`, if set, runs after each batch.  `loops` holds the batch.
+void replay_resort(sim::AccessEngine& eng, std::uint64_t planes, std::uint64_t chunks,
+                   const ResortBuild& build, const std::function<void()>& tick,
+                   std::vector<sim::LoopDesc>& loops, sim::LoopStats& total);
 
 /// Replay of Listing 5: sequential copy in -> tmp.  Without prefetch the
 /// stores bypass the cache (1 read, 1 write per element); with

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <functional>
 #include <stdexcept>
 #include <thread>
+
+#include "sim/thread_pool.hpp"
 
 namespace papisim::sim {
 
@@ -307,95 +310,47 @@ struct PendingSample {
   spe::HitLevel level;
 };
 
-/// The host threads of the set-sharded replay (DESIGN.md §3b): shards() - 1
-/// workers, started on the first batch, plus the thread that submits it.
-/// One per process, shared by every engine, one batch at a time (claim()).
-/// Idle workers block on a futex; a batch wakes them and waits for all.
-/// The claimer also owns the batch scratch, whose storage grows only on
-/// the submitting thread, so no worker allocates.
-class ShardPool {
- public:
+/// Shard s's results in a set-sharded batch; a line of its own, so shards
+/// never share one.
+struct alignas(64) ShardTally {
+  L3Fabric::Shard shard;
+};
+
+/// The set-sharded replay's host threads and scratch (DESIGN.md §3b): one
+/// per process, shared by every engine, one batch at a time (claim()).
+/// The pool, shard_threads() - 1 workers plus the submitting thread, starts
+/// with the first sharded batch.  The scratch grows only on the submitting
+/// thread, so no shard allocates.
+struct ShardRunner {
   static constexpr std::uint32_t kMaxShards = 8;
 
-  static ShardPool& get() {
-    static ShardPool pool;
-    return pool;
+  static ShardRunner& get() {
+    static ShardRunner runner;
+    return runner;
   }
 
-  std::uint32_t shards() const { return shards_; }
+  /// Take the runner for one batch; false while another batch has it.
+  bool claim() { return !busy.exchange(true, std::memory_order_acquire); }
+  void release() { busy.store(false, std::memory_order_release); }
 
-  /// Take the pool for one batch; false while another batch has it.
-  bool claim() { return !busy_.exchange(true, std::memory_order_acquire); }
-  void release() { busy_.store(false, std::memory_order_release); }
-
-  /// Run fn(s) for every shard s, fn(0) on the calling thread (which must
-  /// have claimed the pool); returns when all have returned.
-  template <class F>
-  void run(F& fn) {
-    ctx_ = &fn;
-    call_ = [](void* ctx, std::uint32_t s) { (*static_cast<F*>(ctx))(s); };
-    if (threads_.empty()) {
-      threads_.reserve(shards_ - 1);
-      for (std::uint32_t s = 1; s < shards_; ++s) {
-        threads_.emplace_back([this, s] { work(s); });
-      }
-    }
-    pending_.store(shards_ - 1, std::memory_order_relaxed);
-    generation_.fetch_add(1, std::memory_order_release);
-    generation_.notify_all();
-    call_(ctx_, 0);
-    for (std::uint32_t left = pending_.load(std::memory_order_acquire); left != 0;
-         left = pending_.load(std::memory_order_acquire)) {
-      pending_.wait(left, std::memory_order_acquire);
-    }
+  ThreadPool& pool() {
+    static ThreadPool p(shards - 1);
+    return p;
   }
 
+  const std::uint32_t shards = std::clamp<std::uint32_t>(
+      std::thread::hardware_concurrency(), 1, kMaxShards);
+  std::atomic<bool> busy{false};
   /// Shard s's stats of loop i at [s * loops + i].
   std::vector<LoopStats> stats;
-  /// Shard s's counts; a line of its own, so shards never share one.
-  struct alignas(64) Tally {
-    L3Fabric::Shard shard;
-  };
-  std::vector<Tally> tallies;
+  std::vector<ShardTally> tallies;
   /// The batch's samples in access order; each is written by its owner.
   std::vector<PendingSample> samples;
-
- private:
-  ShardPool()
-      : shards_(std::clamp<std::uint32_t>(std::thread::hardware_concurrency(), 1,
-                                          kMaxShards)) {}
-  ~ShardPool() {
-    stopping_ = true;
-    generation_.fetch_add(1, std::memory_order_release);
-    generation_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void work(std::uint32_t s) {
-    std::uint32_t seen = 0;
-    while (true) {
-      generation_.wait(seen, std::memory_order_acquire);
-      seen = generation_.load(std::memory_order_acquire);
-      if (stopping_) return;
-      call_(ctx_, s);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) pending_.notify_one();
-    }
-  }
-
-  const std::uint32_t shards_;
-  std::atomic<bool> busy_{false};
-  std::atomic<std::uint32_t> generation_{0};
-  std::atomic<std::uint32_t> pending_{0};
-  // Written before generation_ is bumped, read after it is seen.
-  void* ctx_ = nullptr;
-  void (*call_)(void*, std::uint32_t) = nullptr;
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace
 
-std::uint32_t AccessEngine::shard_threads() { return ShardPool::get().shards(); }
+std::uint32_t AccessEngine::shard_threads() { return ShardRunner::get().shards; }
 
 AccessEngine::StreamKey AccessEngine::key_of(const StreamDesc& sd) const {
   const bool whole_lines = (sd.stride & ((std::int64_t{1} << line_shift_) - 1)) == 0;
@@ -521,8 +476,8 @@ void AccessEngine::execute_all(std::span<const LoopDesc> loops, LoopStats& total
 }
 
 bool AccessEngine::replay_sharded(std::span<const LoopDesc> loops, LoopStats& total) {
-  ShardPool& pool = ShardPool::get();
-  const std::uint32_t shards = pool.shards();
+  ShardRunner& run = ShardRunner::get();
+  const std::uint32_t shards = run.shards;
   // Unlocked reads: the capacities change only while no replay is in flight.
   if (shards < 2 || l3_.slice(core_).sets() == 0 ||
       l3_.victim_store(core_).capacity_lines() != 0) {
@@ -536,11 +491,11 @@ bool AccessEngine::replay_sharded(std::span<const LoopDesc> loops, LoopStats& to
     touches += t;
     replayed += t != 0;
   }
-  if (touches < kShardMinTouches || !pool.claim()) return false;
+  if (touches < kShardMinTouches || !run.claim()) return false;
   struct Release {
-    ShardPool& pool;
-    ~Release() { pool.release(); }
-  } release{pool};
+    ShardRunner& run;
+    ~Release() { run.release(); }
+  } release{run};
 
   spe::CoreSampler* const spe = spe::kEnabled ? spe_ : nullptr;
   const spe::CoreSampler::Cursor cursor0 = spe != nullptr ? spe->cursor()
@@ -550,9 +505,9 @@ bool AccessEngine::replay_sharded(std::span<const LoopDesc> loops, LoopStats& to
   const std::uint64_t max_samples =
       spe != nullptr ? touches / (spe->period() - spe->period() / 2) + 1 : 0;
   const std::size_t nloops = loops.size();
-  if (pool.stats.size() < shards * nloops) pool.stats.resize(shards * nloops);
-  pool.tallies.assign(shards, ShardPool::Tally{});
-  if (pool.samples.size() < max_samples) pool.samples.resize(max_samples);
+  if (run.stats.size() < shards * nloops) run.stats.resize(shards * nloops);
+  run.tallies.assign(shards, ShardTally{});
+  if (run.samples.size() < max_samples) run.samples.resize(max_samples);
   spe::CoreSampler::Cursor cursor_end = cursor0;
   std::uint64_t sampled = 0;
 
@@ -566,7 +521,7 @@ bool AccessEngine::replay_sharded(std::span<const LoopDesc> loops, LoopStats& to
     auto shard_replay = [&](std::uint32_t s) {
       const std::uint64_t lo = sets * s / shards;
       const std::uint64_t width = sets * (s + 1) / shards - lo;
-      L3Fabric::Shard& shard = pool.tallies[s].shard;
+      L3Fabric::Shard& shard = run.tallies[s].shard;
       spe::CoreSampler::Cursor cursor = cursor0;
       std::uint64_t next_sample = 0;
       for (std::size_t i = 0; i < nloops; ++i) {
@@ -590,7 +545,7 @@ bool AccessEngine::replay_sharded(std::span<const LoopDesc> loops, LoopStats& to
               if constexpr (spe::kEnabled) {
                 if (spe != nullptr && spe->step(cursor)) {
                   if (mine) {
-                    pool.samples[next_sample] = PendingSample{
+                    run.samples[next_sample] = PendingSample{
                         addr, sd.stride, static_cast<std::uint32_t>(i), spe_kind(sd.kind),
                         op == TouchOp::Bypass ? spe::HitLevel::Bypass : spe_level(src)};
                   }
@@ -601,15 +556,15 @@ bool AccessEngine::replay_sharded(std::span<const LoopDesc> loops, LoopStats& to
         stats.mem_read_bytes = bytes_of(shard.lines(MemDir::Read) - read0);
         stats.mem_write_bytes = bytes_of(shard.lines(MemDir::Write) - write0);
         stride_mix(loop, cfg_.line_bytes, stream_touches, stats);
-        pool.stats[s * nloops + i] = stats;
+        run.stats[s * nloops + i] = stats;
       }
       if (s == 0) {
         cursor_end = cursor;
         sampled = next_sample;
       }
     };
-    pool.run(shard_replay);
-    for (const ShardPool::Tally& t : pool.tallies) stripe.merge(t.shard);
+    run.pool().parallel_for(shards, std::ref(shard_replay));
+    for (const ShardTally& t : run.tallies) stripe.merge(t.shard);
     stripe.count_acquisitions(replayed - 1);
   }  // the stripe is released here, publishing the batch's memory lines
 
@@ -622,15 +577,15 @@ bool AccessEngine::replay_sharded(std::span<const LoopDesc> loops, LoopStats& to
     if constexpr (spe::kEnabled) {
       if (spe != nullptr) {
         const std::uint64_t t_ns = spe_time_ns();
-        for (; next_sample < sampled && pool.samples[next_sample].loop == i; ++next_sample) {
-          const PendingSample& p = pool.samples[next_sample];
+        for (; next_sample < sampled && run.samples[next_sample].loop == i; ++next_sample) {
+          const PendingSample& p = run.samples[next_sample];
           spe->record(p.addr, p.kind, p.level, p.stride, t_ns);
         }
       }
     }
-    LoopStats stats = pool.stats[i];
+    LoopStats stats = run.stats[i];
     for (std::uint32_t s = 1; s < shards; ++s) {
-      const LoopStats& part = pool.stats[s * nloops + i];
+      const LoopStats& part = run.stats[s * nloops + i];
       stats.l3_hits += part.l3_hits;
       stats.victim_hits += part.victim_hits;
       stats.mem_read_bytes += part.mem_read_bytes;

@@ -161,14 +161,10 @@ class L3Fabric {
 
     // Set-sharded replay (AccessEngine::execute_all, DESIGN.md §3b).  Host
     // threads share this hold, each with its own Shard and its own
-    // contiguous range of the slice's sets.
+    // contiguous range of the slice's sets.  Only for a slice with
+    // capacity and a core with no victim store, whose cast-outs and
+    // retention draws would couple the sets.
 
-    /// True when the slice's sets are independent LRUs that can be replayed
-    /// apart: the slice has capacity and the core has no victim store,
-    /// whose cast-outs and retention draws couple the sets.
-    bool shardable() const {
-      return stripe_->slice.sets() != 0 && stripe_->victim.capacity_lines() == 0;
-    }
     std::uint32_t slice_sets() const { return stripe_->slice.sets(); }
     /// The slice set `line` maps to.
     std::uint64_t slice_set(std::uint64_t line) const {
@@ -177,8 +173,8 @@ class L3Fabric {
     /// Allocate the slice's storage, so that no shard allocates.
     void prepare_shards() { stripe_->slice.allocate(); }
     /// load() (or store(), with `make_dirty`) of `line`, which maps to slice
-    /// set `set` in `shard`'s range, counted in `shard`.  Only while
-    /// shardable(): a miss goes to memory as in access_line().
+    /// set `set` in `shard`'s range, counted in `shard`.  A miss goes to
+    /// memory as in access_line() with no victim store.
     Source shard_access(Shard& shard, std::uint64_t set, std::uint64_t line,
                         bool make_dirty) const {
       const CacheLevel::Result r =

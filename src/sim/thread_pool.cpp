@@ -12,7 +12,12 @@ ThreadPool::ThreadPool(std::uint32_t workers) {
 }
 
 ThreadPool::~ThreadPool() {
-  for (auto& t : threads_) t.request_stop();
+  {
+    // Under the lock, so no worker can test its wait predicate between the
+    // stop request and the notify and then sleep through it.
+    std::lock_guard lock(mu_);
+    for (auto& t : threads_) t.request_stop();
+  }
   work_cv_.notify_all();
 }
 
